@@ -47,22 +47,6 @@ from repro.aio.server import RingService
 POLICIES = ("sharded", "steal")
 
 
-def forecast_completions(arrivals: Sequence[int], costs: Sequence[int],
-                         workers: int = 1):
-    """Opt-in fast stepping for open-loop sweep *planning*.
-
-    Predicts per-request completion cycles and the pool makespan for an
-    open-loop arrival stream on an idealized W-worker pool, using the
-    table-driven fast core (vectorized when numpy is available) instead
-    of standing up machines.  Intended for sweep planning — choosing
-    worker counts / arrival rates worth simulating — never for
-    results: benchmark numbers still come from real :class:`WorkerPool`
-    runs on the reference engine.  Returns ``(completions, wall)``.
-    """
-    from repro.fastcore.batch import open_loop_completions
-    return open_loop_completions(arrivals, costs, workers=workers)
-
-
 @dataclass
 class _Worker:
     index: int

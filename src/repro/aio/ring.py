@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import ast
 import struct
+from collections import OrderedDict
 from typing import List, NamedTuple, Optional
 
 import repro.faults as faults
@@ -51,6 +52,15 @@ from repro.xpc.relayseg import RelaySegment, SegReg
 _HDR = struct.Struct("<12I")
 HDR_BYTES = 64
 MAGIC = 0x58504352  # "XPCR"
+
+#: The six index words (``sq_head`` .. ``next_seq``) sit at header
+#: offset 24; every ring op reads them with one access and writes them
+#: back with at most one.
+_IDX = struct.Struct("<6I")
+_IDX_OFF = 24
+_IDX_NAMES = ("sq_head", "sq_tail", "cq_head", "cq_tail", "arena_cursor",
+              "next_seq")
+_SQ_HEAD, _SQ_TAIL, _CQ_HEAD, _CQ_TAIL, _ARENA_CUR, _NEXT_SEQ = range(6)
 
 _SQE = struct.Struct("<6I")   # seq, meta_off, meta_len, data_off, slot_len, data_len
 _CQE = struct.Struct("<Ii4I")  # seq, status, rmeta_off, rmeta_len, rdata_off, rdata_len
@@ -94,12 +104,31 @@ class CQE(NamedTuple):
     rdata_len: int
 
 
+#: Encoded meta -> the tuple it came from, for tuples of exact ``str``
+#: and ``int`` elements only.  ``repr`` round-trips those types, so a
+#: hit equals ``literal_eval`` of the same bytes; anything else (other
+#: element types, bytes altered in ring memory) misses and is parsed.
+#: Oldest entries are evicted first.
+_META_MEMO: "OrderedDict[bytes, tuple]" = OrderedDict()
+META_MEMO_MAX = 1024
+
+
 def encode_meta(meta: tuple) -> bytes:
     """Deterministically serialize a transport ``meta`` tuple."""
-    return repr(tuple(meta)).encode("utf-8")
+    meta = tuple(meta)
+    data = repr(meta).encode("utf-8")
+    if (data not in _META_MEMO
+            and all(type(x) is str or type(x) is int for x in meta)):
+        if len(_META_MEMO) >= META_MEMO_MAX:
+            _META_MEMO.popitem(last=False)
+        _META_MEMO[data] = meta
+    return data
 
 
 def decode_meta(data: bytes) -> tuple:
+    hit = _META_MEMO.get(data)
+    if hit is not None:
+        return hit
     return tuple(ast.literal_eval(data.decode("utf-8")))
 
 
@@ -176,52 +205,50 @@ class XPCRing:
         return ring
 
     # -- raw index access (memory-resident) ----------------------------
-    def _load(self, field: int) -> int:
-        off = 24 + 4 * field
-        return struct.unpack("<I", self._mem.read(self.pa_base + off, 4))[0]
+    def _indices(self) -> List[int]:
+        """The six index words, read with one access to ring memory."""
+        return list(_IDX.unpack(self._mem.read(self.pa_base + _IDX_OFF,
+                                               _IDX.size)))
 
-    def _store(self, field: int, value: int) -> None:
-        off = 24 + 4 * field
-        self._mem.write(self.pa_base + off, struct.pack("<I", value))
+    def _publish(self, idx: List[int]) -> None:
+        """Write the six index words back with one access."""
+        self._mem.write(self.pa_base + _IDX_OFF, _IDX.pack(*idx))
 
     @property
     def sq_head(self) -> int:
-        return self._load(0)
+        return self._indices()[_SQ_HEAD]
 
     @property
     def sq_tail(self) -> int:
-        return self._load(1)
+        return self._indices()[_SQ_TAIL]
 
     @property
     def cq_head(self) -> int:
-        return self._load(2)
+        return self._indices()[_CQ_HEAD]
 
     @property
     def cq_tail(self) -> int:
-        return self._load(3)
+        return self._indices()[_CQ_TAIL]
 
     @property
     def arena_cursor(self) -> int:
-        return self._load(4)
+        return self._indices()[_ARENA_CUR]
 
     @property
     def next_seq(self) -> int:
-        return self._load(5)
+        return self._indices()[_NEXT_SEQ]
 
     def peek_indices(self) -> dict:
         """Uncharged snapshot of the memory-resident indices (for
         observers and invariant checkers — never moves the clock)."""
-        return {
-            "sq_head": self.sq_head, "sq_tail": self.sq_tail,
-            "cq_head": self.cq_head, "cq_tail": self.cq_tail,
-            "arena_cursor": self.arena_cursor, "next_seq": self.next_seq,
-        }
+        return dict(zip(_IDX_NAMES, self._indices()))
 
     # -- capacity ------------------------------------------------------
     @property
     def outstanding(self) -> int:
         """Requests admitted but not yet harvested (SQ fill + CQ fill)."""
-        return self.sq_tail - self.cq_head
+        idx = self._indices()
+        return idx[_SQ_TAIL] - idx[_CQ_HEAD]
 
     def space(self) -> int:
         """SQEs that can still be pushed before the ring refuses.
@@ -232,15 +259,17 @@ class XPCRing:
         return self.entries - self.outstanding
 
     # -- arena ---------------------------------------------------------
-    def _arena_alloc(self, nbytes: int) -> int:
-        cur = self.arena_cursor
+    def _reserve(self, idx: List[int], nbytes: int) -> int:
+        """Bump the arena cursor in *idx* (not yet published)."""
+        cur = idx[_ARENA_CUR]
         need = _align8(nbytes)
-        if cur + need > self._arena_off + self._arena_len:
+        end = self._arena_off + self._arena_len
+        if cur + need > end:
             raise XPCRingFullError(
                 self.name,
                 f"payload arena exhausted ({need} bytes wanted, "
-                f"{self._arena_off + self._arena_len - cur} free)")
-        self._store(4, cur + need)
+                f"{end - cur} free)")
+        idx[_ARENA_CUR] = cur + need
         return cur
 
     # -- submission side (client owns the segment) ---------------------
@@ -256,26 +285,34 @@ class XPCRing:
             if faults.fire("aio.ring_full") is not None:
                 raise XPCRingFullError(
                     self.name, "submission ring full (injected)")
-        if self.space() <= 0:
+        idx = self._indices()
+        tail = idx[_SQ_TAIL]
+        if tail - idx[_CQ_HEAD] >= self.entries:
             raise XPCRingFullError(
                 self.name,
                 f"submission ring full ({self.entries} outstanding)")
         meta_bytes = encode_meta(meta)
         slot_len = _align8(max(len(payload), reply_capacity, 1))
-        meta_off = self._arena_alloc(len(meta_bytes))
-        data_off = self._arena_alloc(slot_len)
+        meta_off = self._reserve(idx, len(meta_bytes))
+        try:
+            data_off = self._reserve(idx, slot_len)
+        except XPCRingFullError:
+            # The meta reservation stands even though the request does
+            # not: the arena is a bump allocator, rewound only by reset.
+            self._publish(idx)
+            raise
         self._mem.write(self.pa_base + meta_off, meta_bytes)
         if payload:
             self._mem.write(self.pa_base + data_off, payload)
         fill = len(meta_bytes) + len(payload)
-        tail = self.sq_tail
-        seq = self.next_seq
+        seq = idx[_NEXT_SEQ]
         self._mem.write(
             self.pa_base + self._sqe_off + (tail % self.entries) * SQE_BYTES,
             _SQE.pack(seq, meta_off, len(meta_bytes), data_off,
                       slot_len, len(payload)))
-        self._store(1, tail + 1)
-        self._store(5, seq + 1)
+        idx[_SQ_TAIL] = tail + 1
+        idx[_NEXT_SEQ] = seq + 1
+        self._publish(idx)
         if san.ACTIVE is not None:
             san.ACTIVE.access(core, self, "ring-sq",
                               "aio.ring.push_sqe", "write")
@@ -285,13 +322,15 @@ class XPCRing:
 
     def pop_cqe(self, core: Core) -> Optional[CQE]:
         """Harvest one completion (client side); None when drained."""
-        head = self.cq_head
-        if head >= self.cq_tail:
+        idx = self._indices()
+        head = idx[_CQ_HEAD]
+        if head >= idx[_CQ_TAIL]:
             return None
         raw = self._mem.read(
             self.pa_base + self._cqe_off + (head % self.entries) * CQE_BYTES,
             _CQE.size)
-        self._store(2, head + 1)
+        idx[_CQ_HEAD] = head + 1
+        self._publish(idx)
         if san.ACTIVE is not None:
             san.ACTIVE.access(core, self, "ring-cq",
                               "aio.ring.pop_cqe", "write")
@@ -300,12 +339,14 @@ class XPCRing:
 
     def reset(self, core: Core) -> None:
         """Rewind the arena once every completion has been harvested."""
-        if self.sq_head != self.sq_tail or self.cq_head != self.cq_tail:
+        idx = self._indices()
+        sq_head, sq_tail, cq_head, cq_tail = idx[:4]
+        if sq_head != sq_tail or cq_head != cq_tail:
             raise XPCError(
                 f"{self.name}: reset with requests in flight "
-                f"(sq {self.sq_head}/{self.sq_tail}, "
-                f"cq {self.cq_head}/{self.cq_tail})")
-        self._store(4, self._arena_off)
+                f"(sq {sq_head}/{sq_tail}, cq {cq_head}/{cq_tail})")
+        idx[_ARENA_CUR] = self._arena_off
+        self._publish(idx)
         if san.ACTIVE is not None:
             san.ACTIVE.access(core, self, "ring-sq",
                               "aio.ring.reset", "write")
@@ -327,13 +368,15 @@ class XPCRing:
                     obs.ACTIVE.registry.counter(
                         f"aio.stale_head_recovered.{self.name}").inc(
                             cycle=core.cycles)
-        head = self.sq_head
-        if head >= self.sq_tail:
+        idx = self._indices()
+        head = idx[_SQ_HEAD]
+        if head >= idx[_SQ_TAIL]:
             return None
         raw = self._mem.read(
             self.pa_base + self._sqe_off + (head % self.entries) * SQE_BYTES,
             _SQE.size)
-        self._store(0, head + 1)
+        idx[_SQ_HEAD] = head + 1
+        self._publish(idx)
         if san.ACTIVE is not None:
             san.ACTIVE.access(core, self, "ring-sq",
                               "aio.ring.pop_sqe", "write")
@@ -347,14 +390,16 @@ class XPCRing:
         Reply payload bytes are already in place in the request's arena
         slot; only the reply meta is serialized here."""
         rmeta_bytes = encode_meta(reply_meta)
-        rmeta_off = self._arena_alloc(len(rmeta_bytes))
+        idx = self._indices()
+        rmeta_off = self._reserve(idx, len(rmeta_bytes))
         self._mem.write(self.pa_base + rmeta_off, rmeta_bytes)
-        tail = self.cq_tail
+        tail = idx[_CQ_TAIL]
         self._mem.write(
             self.pa_base + self._cqe_off + (tail % self.entries) * CQE_BYTES,
             _CQE.pack(seq, status, rmeta_off, len(rmeta_bytes),
                       rdata_off, rdata_len))
-        self._store(3, tail + 1)
+        idx[_CQ_TAIL] = tail + 1
+        self._publish(idx)
         if san.ACTIVE is not None:
             san.ACTIVE.access(core, self, "ring-cq",
                               "aio.ring.push_cqe", "write")
@@ -391,15 +436,16 @@ class XPCRing:
     def peek_cqes(self) -> List[CQE]:
         """Uncharged view of unharvested completions (for invariant
         checks and crash-recovery harvesting)."""
+        idx = self._indices()
         out = []
-        for idx in range(self.cq_head, self.cq_tail):
+        for i in range(idx[_CQ_HEAD], idx[_CQ_TAIL]):
             raw = self._mem.read(
                 self.pa_base + self._cqe_off
-                + (idx % self.entries) * CQE_BYTES, _CQE.size)
+                + (i % self.entries) * CQE_BYTES, _CQE.size)
             out.append(CQE(*_CQE.unpack(raw)))
         return out
 
     def __repr__(self) -> str:
+        sq_head, sq_tail, cq_head, cq_tail = self._indices()[:4]
         return (f"XPCRing({self.name!r}, entries={self.entries}, "
-                f"sq={self.sq_head}/{self.sq_tail}, "
-                f"cq={self.cq_head}/{self.cq_tail})")
+                f"sq={sq_head}/{sq_tail}, cq={cq_head}/{cq_tail})")

@@ -23,11 +23,15 @@ def cdf(samples: Sequence[float]) -> List[Tuple[float, float]]:
 
 def percentile(samples: Sequence[float], p: float) -> float:
     """Linear-interpolated percentile, p in [0, 100]."""
-    if not samples:
+    return percentile_of_sorted(sorted(samples), p)
+
+
+def percentile_of_sorted(ordered: Sequence[float], p: float) -> float:
+    """:func:`percentile` over samples already in ascending order."""
+    if not ordered:
         raise ValueError("no samples")
     if not 0 <= p <= 100:
         raise ValueError("percentile must be within [0, 100]")
-    ordered = sorted(samples)
     if len(ordered) == 1:
         return ordered[0]
     rank = (p / 100) * (len(ordered) - 1)

@@ -17,7 +17,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.analysis.stats import percentile
+from repro.analysis.stats import percentile, percentile_of_sorted
 
 #: Histograms keep at most this many raw samples; older samples are
 #: discarded ring-buffer style but ``count``/``total`` keep accumulating.
@@ -86,6 +86,13 @@ class Histogram(Metric):
     never forget: once the sample ring has overflowed, percentiles fall
     back to boundary-exact bucket interpolation instead of silently
     computing over whatever window survived.
+
+    Until the ring first evicts, percentiles read a sorted view of the
+    samples that each query extends with the samples observed since the
+    last one (a stable sort of the view plus the appended run, so the
+    view always equals ``sorted(samples)``).  The view is derived state:
+    it is dropped on the first eviction and left out of snapshot
+    fingerprints.
     """
 
     kind = "histogram"
@@ -103,6 +110,7 @@ class Histogram(Metric):
         self.max: Optional[float] = None
         self._samples: List[float] = []
         self._cursor = 0            # ring-buffer write position
+        self._sorted: List[float] = []   # sorted _samples[:len(_sorted)]
         if buckets is not None:
             bounds = [float(b) for b in buckets]
             if not bounds:
@@ -128,6 +136,7 @@ class Histogram(Metric):
         else:
             self._samples[self._cursor] = value
             self._cursor = (self._cursor + 1) % self.capacity
+            self._sorted.clear()
         if self.bucket_bounds is not None:
             self.bucket_counts[bisect_left(self.bucket_bounds,
                                            value)] += 1
@@ -151,12 +160,18 @@ class Histogram(Metric):
         :meth:`bucket_percentile` — an estimate over the full history —
         instead of pretending the surviving window is the population.
         """
-        if not self._samples:
+        samples = self._samples
+        if not samples:
             raise ValueError(f"histogram {self.name!r} has no samples")
-        if (self.bucket_bounds is not None
-                and self.count > len(self._samples)):
-            return self.bucket_percentile(p)
-        return percentile(self._samples, p)
+        if self.count > len(samples):           # the ring has evicted
+            if self.bucket_bounds is not None:
+                return self.bucket_percentile(p)
+            return percentile(samples, p)
+        view = self._sorted
+        if len(view) < len(samples):
+            view.extend(samples[len(view):])
+            view.sort()
+        return percentile_of_sorted(view, p)
 
     def bucket_percentile(self, p: float) -> float:
         """Percentile estimated from the cumulative bucket counts.
@@ -209,6 +224,12 @@ class Histogram(Metric):
                 return lo + (hi - lo) * ((rank - cum) / (n - 1))
             cum += n
         return self.max
+
+    def __snap_fingerprint__(self):
+        """Identity without the derived sorted view, so a snapshot's
+        fingerprint does not depend on which percentiles were read."""
+        return {name: value for name, value in sorted(vars(self).items())
+                if name != "_sorted"}
 
     def as_dict(self) -> dict:
         out = {"kind": self.kind, "count": self.count, "total": self.total,

@@ -28,7 +28,7 @@ from repro.verify.lint import LintViolation, ModuleInfo, Rule
 
 #: Reference-side units that may never import repro.fastcore.  The
 #: consumers that *may* (proptest's fastexec executor, benchmarks via
-#: tests, aio/cluster's opt-in sweep helpers) are simply not listed.
+#: tests) are simply not listed.
 REFERENCE_UNITS = frozenset({
     "hw", "xpc", "kernel", "runtime", "ipc", "sel4", "zircon", "binder",
 })

@@ -60,11 +60,8 @@ ALLOWED_IMPORTS = {
     # Async/batched XPC sits between ipc and services: it builds on the
     # transport's payload surface and the runtime library, and the
     # service servers adopt it for their batched front-ends.
-    # ``fastcore`` appears here for the opt-in fast-forecast helpers
-    # only (open-loop sweep planning); the serving path stays on the
-    # reference engine.
     "aio": {"ipc", "runtime", "kernel", "xpc", "hw", "params", "faults",
-            "obs", "san", "fastcore"},
+            "obs", "san"},
     "apps": {"services", "ipc", "runtime", "kernel", "xpc", "hw", "params",
              "faults", "obs", "san"},
     # Side packages: measurement and analysis tooling.
@@ -114,7 +111,7 @@ ALLOWED_IMPORTS = {
     # Nothing below imports repro.cluster.
     "cluster": {"prof", "aio", "ipc", "sel4", "services", "apps",
                 "runtime", "kernel", "xpc", "hw", "params", "faults",
-                "obs", "san", "analysis", "fastcore"},
+                "obs", "san", "analysis"},
 }
 
 #: Modules of repro.hw that form its public, architectural surface.
