@@ -10,15 +10,11 @@ the two figures the cost model was calibrated against:
   number), and ``roundtrip()`` must equal the full measured
   ``xpc_call`` delta.
 * **Figure 7-style sweep** — per-call cycles of the seL4-XPC transport
-  across payload sizes must equal ``call_sweep_cycles`` exactly, with
-  the first call carrying precisely one relay-segment creation.
-
-A final check pins the vectorized batch kernels to their pure-Python
-fallbacks, so numpy presence can never change a number.
+  across payload sizes must equal ``call_ok + fill(size)`` exactly,
+  with the first call carrying precisely one relay-segment creation.
 """
 
-from repro.fastcore import (HAS_NUMPY, call_sweep_cycles, cycle_table,
-                            open_loop_completions)
+from repro.fastcore import cycle_table
 from repro.proptest.executors import SyncExecutor
 from repro.proptest.grammar import (CallOp, GrantOp, Program,
                                     RegisterOp)
@@ -95,7 +91,7 @@ def test_roundtrip_matches_tables(results):
 
 def test_payload_sweep_matches_tables(results):
     """seL4-XPC transport per-call cycles across Figure 7's buffer
-    ladder == ``call_sweep_cycles`` element-wise; the first call's
+    ladder == ``call_ok + fill(size)`` element-wise; the first call's
     surplus is exactly one relay-segment creation."""
     ops = [RegisterOp("echo", "echo"), GrantOp("echo")]
     for size in BUF_SIZES:
@@ -106,7 +102,7 @@ def test_payload_sweep_matches_tables(results):
     for outcome in report.outcomes:
         assert outcome[0] == "ok"
     table = cycle_table()
-    predicted = call_sweep_cycles(table, BUF_SIZES)
+    predicted = [table.call_ok + table.fill(n) for n in BUF_SIZES]
     measured = report.op_cycles[2:]
     print("\nfig7-style sweep (buffer: measured / table):")
     for size, got, want in zip(BUF_SIZES, measured, predicted):
@@ -120,29 +116,3 @@ def test_payload_sweep_matches_tables(results):
         "payload_sweep_sizes": len(BUF_SIZES),
     })
 
-
-def test_vectorized_batch_matches_pure_python(results):
-    """numpy and pure-Python batch kernels agree bit-for-bit."""
-    table = cycle_table()
-    sizes = list(range(0, 20000, 37))
-    pure = call_sweep_cycles(table, sizes, use_numpy=False)
-    arrivals = list(range(0, 4000, 13))
-    costs = [(7 * i) % 211 + 30 for i in range(len(arrivals))]
-    pure_done, pure_wall = open_loop_completions(
-        arrivals, costs, workers=1, use_numpy=False)
-    if HAS_NUMPY:
-        assert call_sweep_cycles(table, sizes, use_numpy=True) == pure
-        fast_done, fast_wall = open_loop_completions(
-            arrivals, costs, workers=1, use_numpy=True)
-        assert (fast_done, fast_wall) == (pure_done, pure_wall)
-    # Multi-worker heap path is self-consistent: more workers never
-    # finish later, one worker matches the serial recurrence.
-    for workers in (2, 4):
-        done_w, wall_w = open_loop_completions(arrivals, costs,
-                                               workers=workers)
-        assert wall_w <= pure_wall
-        assert all(d <= s for d, s in zip(done_w, pure_done))
-    results.record("fastcore_equivalence", {
-        "batch_kernels_agree": True,
-        "numpy_available": HAS_NUMPY,
-    })

@@ -142,8 +142,8 @@ class XPCRing:
     Create it client-side with :meth:`format` (writes the header) and
     view it worker-side with :meth:`attach` (reads the header from the
     handed-over window).  All mutation of ring memory anywhere in the
-    tree must go through this API — enforced by the ``aio-discipline``
-    lint rule.
+    tree must go through this API — enforced by the aio row of the
+    ``encapsulation`` lint rule.
     """
 
     def __init__(self, mem, pa_base: int, va_base: int, length: int,

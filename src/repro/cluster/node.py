@@ -11,9 +11,10 @@ over these per-node name servers rather than replacing them.
 Core 0 is the node's *frontend* core: it runs the RPC client side
 (serialization charges for remote sends land there), while cores 1..K
 host the pool workers.  Nothing outside :mod:`repro.cluster.node`,
-:mod:`repro.cluster.rpc`, and :mod:`repro.cluster.fabric` may reach
-through a Node into its ``kernel``/``machine`` — that is the
-cluster-discipline lint rule; remote work goes through the RPC layer.
+:mod:`repro.cluster.rpc`, and :mod:`repro.cluster.serving` may reach
+through a Node into its ``kernel``/``machine`` — that is the cluster
+row of the ``encapsulation`` lint rule; remote work goes through the
+RPC layer.
 """
 
 from __future__ import annotations

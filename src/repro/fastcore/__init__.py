@@ -10,9 +10,8 @@ This package is the other half of the bargain: the *same* cycle
 semantics, precomputed.  A :class:`~repro.fastcore.tables.CycleTable`
 folds one ``CycleParams`` and one hardware configuration into flat
 per-path cycle sums (xcall, xret, AS switch, trampoline, seg-create,
-repair, ...), ``__slots__`` record structs replace the object graph,
-and :mod:`repro.fastcore.batch` vectorizes open-loop sweeps (numpy
-when available, pure Python otherwise).
+repair, ...), and ``__slots__`` record structs replace the object
+graph.
 
 The contract is *strict equivalence*, not approximation: the proptest
 differential harness runs the fast core as a tenth executor and
@@ -21,15 +20,12 @@ against the seL4-XPC reference on every fuzz program.  DESIGN.md §17
 documents the table layout and the equivalence methodology.
 
 Layering: this package may import nothing but :mod:`repro.params`.
-The reference engine may never import this package (the
-``fastcore-discipline`` lint rule in :mod:`repro.verify` enforces
+The reference engine may never import this package (the layering
+rule's ``FORBIDDEN_IMPORTS`` table in :mod:`repro.verify` enforces
 both directions), so reference and fast core cannot accidentally
 share implementation — only the differential gate ties them together.
 """
 
-from repro.fastcore.batch import (HAS_NUMPY, call_sweep_cycles,
-                                  open_loop_completions)
-from repro.fastcore.hwmodel import FastEngineCache, FastTLB
 from repro.fastcore.structs import (FastCoreShim, FastService, KernelShim,
                                     MachineShim, SchedulerShim, TLBShim)
 from repro.fastcore.tables import CycleTable, cycle_table
@@ -37,15 +33,10 @@ from repro.fastcore.tables import CycleTable, cycle_table
 __all__ = [
     "CycleTable",
     "FastCoreShim",
-    "FastEngineCache",
     "FastService",
-    "FastTLB",
-    "HAS_NUMPY",
     "KernelShim",
     "MachineShim",
     "SchedulerShim",
     "TLBShim",
-    "call_sweep_cycles",
     "cycle_table",
-    "open_loop_completions",
 ]

@@ -7,8 +7,8 @@ walks its state machines.  A :class:`CycleTable` adds those ticks up
 ====================  =====================================================
 field                 reference tick sequence it folds
 ====================  =====================================================
-``captest``           engine xcall floor (cap bit test + redirect); a
-                      literal 6 in the engine (plus any seeded-bug
+``captest``           engine xcall floor (cap bit test + redirect),
+                      ``XCALL_CAPTEST_FLOOR`` (plus any seeded-bug
                       perturbation, see :attr:`perturb_captest_extra`)
 ``xcall``             captest + x-entry fetch + linkage-record push
 ``xret``              ``params.xret_base`` (return-time §3.3 check folded
@@ -17,7 +17,7 @@ field                 reference tick sequence it folds
                       ``asid_switch`` when tagged
 ``tramp``             user trampoline (full or partial context) + XPC
                       context-stack switch
-``seg_mask``          ``csrw seg-mask`` (literal 1 in the engine)
+``seg_mask``          ``csrw seg-mask`` (``SEG_MASK_WRITE``)
 ``swapseg``           ``params.swapseg``
 ``call_ok``           seg-mask write + xcall + AS switch + trampoline +
                       xret + AS switch — one full successful round trip,

@@ -42,9 +42,8 @@ class TLB:
 
     This sits on the simulator's hottest path (every memory access on a
     miss-heavy phase), so it is slotted and the lookup is flat: the key
-    tuple is built inline rather than through :meth:`_key`.  The fast
-    core's ``repro.fastcore.hwmodel.FastTLB`` mirrors this contract
-    exactly — ``tests/hw/test_tlb_boundary.py`` pins both to one trace.
+    tuple is built inline rather than through :meth:`_key`.
+    ``tests/hw/test_tlb_boundary.py`` pins its observable contract.
     """
 
     __slots__ = ("sets", "ways", "tagged", "_sets", "stats")

@@ -1,8 +1,8 @@
 """The metrics registry: counters, gauges, and histograms on the cycle clock.
 
 Every instrumentation site in the stack reports through a
-:class:`MetricsRegistry` (never by poking counter state directly — the
-``obs-discipline`` lint rule enforces that).  Metrics are *keyed on the
+:class:`MetricsRegistry` (never by poking counter state directly — the obs row of the
+``encapsulation`` lint rule enforces that).  Metrics are *keyed on the
 simulated cycle clock*: each update carries the cycle at which it
 happened, so a metric can be correlated with the span timeline and the
 PMU snapshots of the same run.

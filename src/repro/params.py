@@ -216,11 +216,10 @@ LINK_SCAN_PER_RECORD = 4
 
 #: The engine's architectural xcall floor (cap bit test + pipeline
 #: redirect).  Deliberately *not* a CycleParams field: Figure 5 pins it
-#: at 6 cycles as a property of the pipeline, and the engine hardcodes
-#: the same literal — the fast core's tables must match it even under
+#: at 6 cycles as a property of the pipeline, so it holds even under
 #: randomized CycleParams (the Hypothesis table-staleness property).
+#: The engine and the fast core's tables both read this constant.
 XCALL_CAPTEST_FLOOR = 6
 
-#: ``csrw seg-mask`` — one CSR write, charged as a literal 1 by the
-#: engine (see XPCEngine.write_seg_mask).
+#: ``csrw seg-mask`` — one CSR write (see XPCEngine.write_seg_mask).
 SEG_MASK_WRITE = 1

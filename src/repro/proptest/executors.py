@@ -25,9 +25,10 @@ Semantics the executors must earn, not assume:
   (the ring's drain entry belongs to the ring client, so sync-cap
   revocation never affects async traffic).
 
-This module deliberately knows nothing about the oracle: the lint rule
-``proptest-discipline`` (repro.verify) forbids importing it from here,
-so executor and oracle cannot accidentally share their semantics code.
+This module deliberately knows nothing about the oracle: the
+``layering`` lint rule's forbidden-edge table (repro.verify) forbids
+importing it from here, so executor and oracle cannot accidentally
+share their semantics code.
 """
 
 from __future__ import annotations

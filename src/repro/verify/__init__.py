@@ -8,12 +8,16 @@ active owner at any point in the call chain (the TOCTTOU defence of
 complementary static-analysis passes:
 
 * :mod:`repro.verify.lint` — a custom AST lint pass over ``src/repro``
-  enforcing repo-specific rules the design implies: layering
+  enforcing six repo-specific rules the design implies: layering plus
+  a table of forbidden import edges
   (:mod:`repro.verify.rules.layering`), cycle-accounting completeness
   (:mod:`repro.verify.rules.cycles`), error discipline
-  (:mod:`repro.verify.rules.errors`), and the hardware-data-plane /
+  (:mod:`repro.verify.rules.errors`), the hardware-data-plane /
   kernel-control-plane state-mutation split
-  (:mod:`repro.verify.rules.state`).
+  (:mod:`repro.verify.rules.state`), a table of owner-only surfaces
+  for ring, metric and cluster-node state
+  (:mod:`repro.verify.rules.encapsulation`), and complete
+  ``__snap_state__`` declarations (:mod:`repro.verify.rules.snap`).
 
 * :mod:`repro.verify.model` — an exhaustive bounded model checker that
   enumerates XPC state spaces (N threads × M x-entries ×

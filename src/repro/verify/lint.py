@@ -257,15 +257,59 @@ def _collect_type_checking_lines(tree: ast.Module) -> Set[int]:
     return lines
 
 
-def in_type_checking_block(tree: ast.Module, node: ast.AST) -> bool:
-    """True if *node* sits under an ``if TYPE_CHECKING:`` guard.
+def written_attributes(node: ast.AST,
+                       bindings_only: bool = False
+                       ) -> Iterator[ast.Attribute]:
+    """Yield every attribute that the statement *node* writes.
 
-    Compatibility shim over :meth:`ModuleInfo.in_type_checking`; rules
-    holding a :class:`ModuleInfo` should prefer the cached method.
+    Covers every form that stores or deletes: plain, augmented and
+    annotated assignment, ``for`` and comprehension targets,
+    ``with ... as`` and ``del``, unpacked through tuples, lists and
+    starred targets.  A subscripted target (``a.b[i][j] = v``) writes
+    the attribute it indexes (``a.b``).
+
+    With *bindings_only*, only targets that bind the attribute itself
+    are yielded: augmented assignment, ``del`` and subscripted targets
+    mutate an attribute that must already exist, so they are skipped.
     """
-    lineno = getattr(node, "lineno", None)
-    return (lineno is not None
-            and lineno in _collect_type_checking_lines(tree))
+    if isinstance(node, ast.Assign):
+        targets = node.targets
+    elif isinstance(node, (ast.AnnAssign, ast.For, ast.AsyncFor,
+                           ast.comprehension)):
+        targets = [node.target]
+    elif isinstance(node, (ast.With, ast.AsyncWith)):
+        targets = [item.optional_vars for item in node.items
+                   if item.optional_vars is not None]
+    elif isinstance(node, (ast.AugAssign, ast.Delete)):
+        if bindings_only:
+            return
+        targets = ([node.target] if isinstance(node, ast.AugAssign)
+                   else node.targets)
+    else:
+        return
+    stack = list(targets)
+    while stack:
+        target = stack.pop()
+        if isinstance(target, (ast.Tuple, ast.List)):
+            stack.extend(target.elts)
+        elif isinstance(target, ast.Starred):
+            stack.append(target.value)
+        elif isinstance(target, ast.Subscript):
+            if not bindings_only:
+                stack.append(target.value)
+        elif isinstance(target, ast.Attribute):
+            yield target
+
+
+def names_in_chain(expr: ast.AST) -> Set[str]:
+    """Every ``Name`` id and ``Attribute`` attr anywhere in *expr*."""
+    out: Set[str] = set()
+    for sub in ast.walk(expr):
+        if isinstance(sub, ast.Attribute):
+            out.add(sub.attr)
+        elif isinstance(sub, ast.Name):
+            out.add(sub.id)
+    return out
 
 
 def run_verify(src_root: Optional[Path] = None,

@@ -4,35 +4,23 @@ Each module holds one rule; :func:`default_rules` builds the suite the
 CLI, pytest, and CI all run.
 """
 
-from repro.verify.rules.layering import LayeringRule
-from repro.verify.rules.cluster import ClusterDisciplineRule
 from repro.verify.rules.cycles import CycleAccountingRule
+from repro.verify.rules.encapsulation import EncapsulationRule
 from repro.verify.rules.errors import ErrorDisciplineRule
-from repro.verify.rules.fastcore import FastcoreDisciplineRule
-from repro.verify.rules.obs import ObsDisciplineRule
-from repro.verify.rules.aio import AioDisciplineRule
-from repro.verify.rules.proptest import ProptestDisciplineRule
+from repro.verify.rules.layering import LayeringRule
 from repro.verify.rules.snap import SnapDisciplineRule
 from repro.verify.rules.state import StateMutationRule
+
+#: The rule classes, for introspection / selective runs.
+DEFAULT_RULES = (LayeringRule, CycleAccountingRule, ErrorDisciplineRule,
+                 StateMutationRule, EncapsulationRule, SnapDisciplineRule)
 
 
 def default_rules():
     """One fresh instance of every rule in the suite."""
-    return [LayeringRule(), CycleAccountingRule(), ErrorDisciplineRule(),
-            StateMutationRule(), ObsDisciplineRule(), AioDisciplineRule(),
-            ClusterDisciplineRule(), ProptestDisciplineRule(),
-            SnapDisciplineRule(), FastcoreDisciplineRule()]
+    return [rule() for rule in DEFAULT_RULES]
 
 
-#: The rule classes, for introspection / selective runs.
-DEFAULT_RULES = (LayeringRule, CycleAccountingRule, ErrorDisciplineRule,
-                 StateMutationRule, ObsDisciplineRule, AioDisciplineRule,
-                 ClusterDisciplineRule, ProptestDisciplineRule,
-                 SnapDisciplineRule, FastcoreDisciplineRule)
-
-__all__ = ["AioDisciplineRule", "ClusterDisciplineRule",
-           "FastcoreDisciplineRule", "LayeringRule",
-           "CycleAccountingRule", "ErrorDisciplineRule",
-           "ObsDisciplineRule", "ProptestDisciplineRule",
-           "SnapDisciplineRule", "StateMutationRule", "default_rules",
-           "DEFAULT_RULES"]
+__all__ = ["CycleAccountingRule", "EncapsulationRule",
+           "ErrorDisciplineRule", "LayeringRule", "SnapDisciplineRule",
+           "StateMutationRule", "default_rules", "DEFAULT_RULES"]

@@ -17,6 +17,14 @@ The reproduction is layered like the system it models:
   belongs to the core.
 * Personalities may not import each other, and nobody outside a package
   may import an underscore-prefixed (private) name from it.
+* Some edges must never exist, whatever the layer map grows to allow:
+  :data:`FORBIDDEN_IMPORTS` lists them and is checked first.  They keep
+  the two sides of each differential gate independent — the reference
+  engine stack and the table-driven fast core, and the proptest
+  executors and the oracle they are diffed against.
+
+Relative imports are resolved to absolute names and checked like any
+other import.
 
 New top-level packages must be added to :data:`ALLOWED_IMPORTS`
 explicitly — an unknown unit is a violation, which forces each new
@@ -26,7 +34,7 @@ subsystem to take a conscious position in the layering.
 from __future__ import annotations
 
 import ast
-from typing import Iterator, Optional
+from typing import Iterator, List, Optional, Tuple
 
 from repro.verify.lint import LintViolation, ModuleInfo, Rule
 
@@ -39,9 +47,8 @@ ALLOWED_IMPORTS = {
     "faults": set(),
     # The table-driven fast core sits beside ``params`` at the bottom:
     # it precomputes cycle tables from CycleParams and must never see
-    # the reference stack it re-implements (see also the dedicated
-    # ``fastcore-discipline`` rule, which forbids the reverse edge and
-    # pins this set).
+    # the reference stack it re-implements (FORBIDDEN_IMPORTS pins this
+    # set and forbids the reverse edge).
     "fastcore": {"params"},
     "hw": {"params", "faults", "obs", "san"},
     "xpc": {"hw", "params", "faults", "obs", "san"},
@@ -114,6 +121,33 @@ ALLOWED_IMPORTS = {
                 "obs", "san", "analysis"},
 }
 
+#: Reference-side units that may never import repro.fastcore.
+REFERENCE_UNITS = ("hw", "xpc", "kernel", "runtime", "ipc", "sel4",
+                   "zircon", "binder")
+
+#: Import edges that must not exist, checked before ALLOWED_IMPORTS so
+#: widening the layer map can never re-open them.  Each row is
+#: ``(importers, targets, exempt, why)``: a module under any *importers*
+#: prefix may not import anything under a *targets* prefix unless it is
+#: also under an *exempt* prefix.  A prefix covers the module itself and
+#: every module below it.
+FORBIDDEN_IMPORTS: Tuple[Tuple[Tuple[str, ...], Tuple[str, ...],
+                               Tuple[str, ...], str], ...] = (
+    (("repro.fastcore",), ("repro",),
+     ("repro.params", "repro.fastcore"),
+     "the fast core may depend on repro.params only, or the "
+     "reference/fast diff stops being evidence"),
+    (tuple(f"repro.{unit}" for unit in REFERENCE_UNITS),
+     ("repro.fastcore",), (),
+     "the reference stack may never depend on the fast core it is "
+     "diffed against"),
+    (("repro.proptest.executors", "repro.proptest.gen",
+      "repro.proptest.fastexec"),
+     ("repro.proptest.oracle",), (),
+     "executors and the generator must earn outcomes through the real "
+     "mechanisms, not read them off the reference model"),
+)
+
 #: Modules of repro.hw that form its public, architectural surface.
 HW_PUBLIC_MODULES = {"", "cpu", "machine", "memory", "paging"}
 
@@ -121,11 +155,39 @@ HW_PUBLIC_MODULES = {"", "cpu", "machine", "memory", "paging"}
 GLUE_UNITS = {"sel4", "zircon", "binder"}
 
 
+def _under(name: str, prefixes: Tuple[str, ...]) -> bool:
+    return any(name == p or name.startswith(p + ".") for p in prefixes)
+
+
+def _forbidden_edge(importer: str, imported: str) -> Optional[str]:
+    """The reason *importer* may not import *imported*, if any."""
+    for importers, targets, exempt, why in FORBIDDEN_IMPORTS:
+        if (_under(importer, importers) and _under(imported, targets)
+                and not _under(imported, exempt)):
+            return why
+    return None
+
+
+def _resolve_relative(module: ModuleInfo, node: ast.ImportFrom
+                      ) -> Optional[str]:
+    """``from .x import y`` inside *module* → ``<package>.x``."""
+    parts = module.modname.split(".")
+    if not module.path.endswith("__init__.py"):
+        parts = parts[:-1]              # a plain module's package
+    if node.level - 1 > len(parts) - 1:
+        return None                     # climbs above the top package
+    parts = parts[:len(parts) - (node.level - 1)]
+    if node.module:
+        parts.append(node.module)
+    return ".".join(parts)
+
+
 class LayeringRule(Rule):
     name = "layering"
     description = ("package imports must respect the hw → xpc → kernel → "
-                   "glue layering; no private names or hw internals "
-                   "across package boundaries")
+                   "glue layering and never form a forbidden edge; no "
+                   "private names or hw internals across package "
+                   "boundaries")
 
     def check(self, module: ModuleInfo) -> Iterator[LintViolation]:
         unit = module.unit
@@ -133,10 +195,12 @@ class LayeringRule(Rule):
             return
         for node in ast.walk(module.tree):
             if isinstance(node, ast.ImportFrom):
-                if node.level:          # relative import: same package
+                target = (_resolve_relative(module, node) if node.level
+                          else node.module or "")
+                if target is None:
                     continue
-                target = node.module or ""
                 names = [alias.name for alias in node.names]
+                v = self._check_target(module, node, target, names)
             elif isinstance(node, ast.Import):
                 for alias in node.names:
                     v = self._check_target(module, node, alias.name, [])
@@ -145,12 +209,12 @@ class LayeringRule(Rule):
                 continue
             else:
                 continue
-            v = self._check_target(module, node, target, names)
             if v:
                 yield v
 
     def _check_target(self, module: ModuleInfo, node: ast.AST,
-                      target: str, names: list) -> Optional[LintViolation]:
+                      target: str, names: List[str]
+                      ) -> Optional[LintViolation]:
         parts = target.split(".")
         if parts[0] != "repro":
             return None
@@ -159,6 +223,15 @@ class LayeringRule(Rule):
         unit = module.unit
         target_unit = parts[1] if len(parts) > 1 else ""
         line = node.lineno
+        # ``from pkg import name`` may import a submodule, so each
+        # imported name is checked as ``pkg.name``.
+        for imported in [f"{target}.{name}" for name in names] or [target]:
+            why = _forbidden_edge(module.modname, imported)
+            if why:
+                return self.violation(
+                    module, line,
+                    f"{module.modname} may not import {imported} — "
+                    f"{why}")
         # Private names never cross a package boundary.
         if target_unit != unit:
             for name in names:

@@ -33,7 +33,8 @@ from __future__ import annotations
 import ast
 from typing import Dict, Iterator, List, Optional, Set, Tuple
 
-from repro.verify.lint import LintViolation, ModuleInfo, Rule
+from repro.verify.lint import (LintViolation, ModuleInfo, Rule,
+                               written_attributes)
 
 
 def _snap_decl(cls: ast.ClassDef) -> Optional[ast.AST]:
@@ -72,8 +73,8 @@ def _base_refs(expr: ast.AST) -> List[str]:
 
 
 def _self_writes(cls: ast.ClassDef) -> Iterator[Tuple[str, int]]:
-    """Yield (attribute, line) for every plain/annotated assignment to
-    ``self.X`` in the class's (possibly nested/async) methods."""
+    """Yield (attribute, line) for every target that binds ``self.X``
+    in the class's (possibly nested/async) methods."""
     for func in cls.body:
         if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
             continue
@@ -81,22 +82,9 @@ def _self_writes(cls: ast.ClassDef) -> Iterator[Tuple[str, int]]:
             continue
         self_name = func.args.args[0].arg
         for node in ast.walk(func):
-            if isinstance(node, ast.Assign):
-                targets = node.targets
-            elif isinstance(node, ast.AnnAssign):
-                targets = [node.target]
-            else:
-                continue
-            stack = list(targets)
-            while stack:
-                t = stack.pop()
-                if isinstance(t, (ast.Tuple, ast.List)):
-                    stack.extend(t.elts)
-                    continue
-                if (isinstance(t, ast.Attribute)
-                        and isinstance(t.value, ast.Name)
-                        and t.value.id == self_name):
-                    yield t.attr, node.lineno
+            for t in written_attributes(node, bindings_only=True):
+                if isinstance(t.value, ast.Name) and t.value.id == self_name:
+                    yield t.attr, getattr(node, "lineno", t.lineno)
 
 
 class SnapDisciplineRule(Rule):

@@ -9,8 +9,9 @@ a transport or OS-glue layer that pokes ``seg_reg`` or ``active_owner``
 directly is forging hardware state, which is exactly how TOCTTOU-style
 ownership bugs slip in.
 
-Concretely: assignments (plain, augmented, or tuple-unpacking) to the
-attributes in :data:`PROTECTED_ATTRS` on any object other than ``self``
+Concretely: writes (every storing form
+:func:`repro.verify.lint.written_attributes` knows) to the attributes
+in :data:`PROTECTED_ATTRS` on any object other than ``self``
 are allowed only in ``repro/xpc/engine.py`` and under ``repro/kernel/``.
 Everything else must go through the kernel's control-plane API
 (e.g. :meth:`BaseKernel.install_relay_seg`,
@@ -22,7 +23,8 @@ from __future__ import annotations
 import ast
 from typing import Iterator
 
-from repro.verify.lint import LintViolation, ModuleInfo, Rule
+from repro.verify.lint import (LintViolation, ModuleInfo, Rule,
+                               written_attributes)
 
 #: Architectural register / hardware-ownership attributes.
 PROTECTED_ATTRS = frozenset({
@@ -45,27 +47,6 @@ def _is_allowed(modname: str) -> bool:
             or modname.startswith(ALLOWED_MODULE_PREFIXES))
 
 
-def _protected_targets(node: ast.AST):
-    """Yield (attr_node, attr_name) for protected attribute writes."""
-    targets = []
-    if isinstance(node, ast.Assign):
-        targets = node.targets
-    elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
-        targets = [node.target]
-    for target in targets:
-        stack = [target]
-        while stack:
-            t = stack.pop()
-            if isinstance(t, (ast.Tuple, ast.List)):
-                stack.extend(t.elts)
-            elif isinstance(t, ast.Attribute) and t.attr in PROTECTED_ATTRS:
-                # Writes to self.<attr> are the object managing its own
-                # construction — always fine.
-                if not (isinstance(t.value, ast.Name)
-                        and t.value.id == "self"):
-                    yield t, t.attr
-
-
 class StateMutationRule(Rule):
     name = "state-mutation"
     description = ("XPC architectural state (seg_reg/link_stack/"
@@ -78,9 +59,16 @@ class StateMutationRule(Rule):
         if _is_allowed(module.modname):
             return
         for node in ast.walk(module.tree):
-            for target, attr in _protected_targets(node):
+            for target in written_attributes(node):
+                attr = target.attr
+                # Writes to self.<attr> are the object managing its own
+                # construction — always fine.
+                if attr not in PROTECTED_ATTRS or (
+                        isinstance(target.value, ast.Name)
+                        and target.value.id == "self"):
+                    continue
                 v = self.violation(
-                    module, node.lineno,
+                    module, getattr(node, "lineno", target.lineno),
                     f"assigns architectural XPC state {attr!r} outside "
                     f"the engine/kernel — use the kernel control-plane "
                     f"API (BaseKernel.install_relay_seg / "

@@ -26,6 +26,7 @@ import repro.obs as obs
 import repro.san as san
 from repro.hw.cpu import Core
 from repro.hw.paging import PagePerm
+from repro.params import SEG_MASK_WRITE, XCALL_CAPTEST_FLOOR
 from repro.xpc.capability import XCallCapBitmap
 from repro.xpc.engine_cache import XPCEngineCache
 from repro.xpc.entry import XEntry, XEntryTable
@@ -166,7 +167,7 @@ class XPCEngine:
             apply_mask(state.seg_reg, mask)
             self.stats.seg_shrinks += 1
         state.seg_mask = mask
-        self.core.tick(1)
+        self.core.tick(SEG_MASK_WRITE)
 
     def swapseg(self, index: int) -> None:
         """``swapseg #reg`` — exchange seg-reg with a seg-list slot."""
@@ -223,7 +224,7 @@ class XPCEngine:
         if entry_id < 0:
             self.prefetch(-entry_id)
             raise XPCError("prefetch pseudo-call does not transfer control")
-        cycles = 6  # cap bit test + pipeline redirect (Fig. 5 floor)
+        cycles = XCALL_CAPTEST_FLOOR
         if self.regress_captest_extra:
             self._regress_seq = getattr(self, "_regress_seq", 0) + 1
             if self._regress_seq > self.regress_captest_after:

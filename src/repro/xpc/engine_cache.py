@@ -18,10 +18,9 @@ from repro.xpc.entry import XEntry, XEntryTable
 class XPCEngineCache:
     """A 1..N entry, software-managed x-entry cache with prefetch.
 
-    Slotted: it is probed on every xcall when enabled.  The fast core's
-    ``repro.fastcore.hwmodel.FastEngineCache`` mirrors this hit/miss/
-    evict/flush contract — ``tests/xpc/test_engine_cache_boundary.py``
-    pins both implementations to one trace.
+    Slotted: it is probed on every xcall when enabled.
+    ``tests/xpc/test_engine_cache_boundary.py`` pins its hit/miss/
+    evict/flush contract.
     """
 
     __slots__ = ("table", "entries", "tagged", "_lines", "hits", "misses")

@@ -7,6 +7,8 @@ exactly the drift it exists for: a ``self.X = ...`` the class's
 
 import textwrap
 
+import pytest
+
 from repro.verify import lint_source
 from repro.verify.rules import SnapDisciplineRule
 
@@ -76,6 +78,37 @@ def test_child_missing_its_own_attribute_is_flagged():
                 self.c = 3
     """)
     assert [v.message.split(" ")[0] for v in violations] == ["Child.c"]
+
+
+@pytest.mark.parametrize("stmt", [
+    "a, *self.stray = data",
+    "for self.stray in data: pass",
+    "with data as self.stray: pass",
+])
+def test_every_binding_form_is_flagged(stmt):
+    violations = _lint(f"""
+        class Drifted:
+            __snap_state__ = ("a",)
+
+            def __init__(self, data):
+                self.a = 1
+                {stmt}
+    """)
+    assert [v.line for v in violations] == [7]
+
+
+@pytest.mark.parametrize("stmt", [
+    "self.stray[0][1] = 1",
+    "del self.stray",
+])
+def test_mutating_an_existing_attribute_is_exempt(stmt):
+    assert _lint(f"""
+        class Mutates:
+            __snap_state__ = ("a",)
+
+            def poke(self):
+                {stmt}
+    """) == []
 
 
 def test_augmented_assignment_is_exempt():

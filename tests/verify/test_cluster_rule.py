@@ -1,14 +1,14 @@
-"""The cluster-discipline lint rule: nodes are machine boundaries."""
+"""The encapsulation rule's cluster row: nodes are machine boundaries."""
 
 import textwrap
 
 from repro.verify import lint_source
-from repro.verify.rules.cluster import ClusterDisciplineRule
+from repro.verify.rules.encapsulation import EncapsulationRule
 
 
 def lint(source, modname):
     return lint_source(textwrap.dedent(source), modname,
-                       [ClusterDisciplineRule()])
+                       [EncapsulationRule()])
 
 
 SEEDED_BUG = """\
@@ -25,7 +25,7 @@ class TestClusterDisciplineRule:
     def test_seeded_bug_in_fabric_is_flagged(self):
         violations = lint(SEEDED_BUG, "repro.cluster.fabric")
         assert len(violations) >= 1
-        assert all(v.rule == "cluster-discipline" for v in violations)
+        assert all(v.rule == "encapsulation" for v in violations)
         assert "kernel" in violations[0].message
 
     def test_machine_access_in_naming_is_flagged(self):
@@ -69,7 +69,7 @@ class TestClusterDisciplineRule:
     def test_pragma_suppresses(self):
         violations = lint(
             "def peek(node):\n"
-            "    return node.kernel  # verify-ok: cluster-discipline\n",
+            "    return node.kernel  # verify-ok: encapsulation\n",
             "repro.cluster.fabric")
         assert violations == []
 

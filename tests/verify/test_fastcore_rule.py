@@ -1,21 +1,21 @@
-"""The fastcore-discipline lint rule: the two cores never meet.
+"""The layering rule's fastcore edges: the two cores never meet.
 
 The fast/reference diff is only evidence while the implementations are
-independent; this suite proves the rule fires on both forbidden edges
-(reference → fastcore and fastcore → anything-but-params) and stays
-quiet on the sanctioned consumers.
+independent; this suite proves the forbidden-edge table fires on both
+edges (reference → fastcore and fastcore → anything-but-params) and
+stays quiet on the sanctioned consumer.
 """
 
 import pathlib
 import textwrap
 
 from repro.verify import lint_source
-from repro.verify.rules.fastcore import FastcoreDisciplineRule
+from repro.verify.rules.layering import LayeringRule
 
 
 def lint(source, modname):
     return lint_source(textwrap.dedent(source), modname,
-                       [FastcoreDisciplineRule()])
+                       [LayeringRule()])
 
 
 #: The tempting shortcut: the engine "reuses" a precomputed sum, and
@@ -43,7 +43,7 @@ class TestFastcoreDisciplineRule:
                      "runtime.xpclib", "ipc.xpc_transport"):
             violations = lint(REFERENCE_BUG, f"repro.{unit}")
             assert len(violations) == 1, unit
-            assert violations[0].rule == "fastcore-discipline"
+            assert violations[0].rule == "layering"
             assert "fastcore" in violations[0].message
 
     def test_fastcore_importing_the_engine_is_flagged(self):
@@ -59,12 +59,15 @@ class TestFastcoreDisciplineRule:
     def test_fastcore_may_import_params_and_itself(self):
         assert lint("from repro.params import DEFAULT_PARAMS\n"
                     "from repro.fastcore.tables import CycleTable\n",
-                    "repro.fastcore.batch") == []
+                    "repro.fastcore.structs") == []
 
     def test_sanctioned_consumers_are_not_in_scope(self):
-        for unit in ("proptest.fastexec", "aio.pool",
-                     "cluster.loadgen"):
-            assert lint(REFERENCE_BUG, f"repro.{unit}") == [], unit
+        assert lint(REFERENCE_BUG, "repro.proptest.fastexec") == []
+
+    def test_units_without_a_fastcore_edge_are_flagged(self):
+        for unit in ("aio.pool", "cluster.loadgen"):
+            violations = lint(REFERENCE_BUG, f"repro.{unit}")
+            assert [v.line for v in violations] == [1], unit
 
     def test_type_checking_imports_are_exempt(self):
         assert lint(
@@ -76,14 +79,13 @@ class TestFastcoreDisciplineRule:
     def test_pragma_suppresses(self):
         assert lint(
             "from repro.fastcore import cycle_table"
-            "  # verify-ok: fastcore-discipline\n",
+            "  # verify-ok: layering\n",
             "repro.xpc.engine") == []
 
     def test_real_fastcore_modules_pass(self):
-        rule = FastcoreDisciplineRule()
         base = pathlib.Path("src/repro/fastcore")
         for path in sorted(base.glob("*.py")):
             modname = f"repro.fastcore.{path.stem}".replace(
                 ".__init__", "")
             assert lint_source(path.read_text(), modname,
-                               [FastcoreDisciplineRule()]) == [], path
+                               [LayeringRule()]) == [], path

@@ -3,12 +3,13 @@ quiet on the equivalent well-formed code."""
 
 import textwrap
 
+import pytest
+
 from repro.verify import lint_source
-from repro.verify.rules.aio import AioDisciplineRule
 from repro.verify.rules.cycles import CycleAccountingRule
+from repro.verify.rules.encapsulation import EncapsulationRule
 from repro.verify.rules.errors import ErrorDisciplineRule
 from repro.verify.rules.layering import LayeringRule
-from repro.verify.rules.obs import ObsDisciplineRule
 from repro.verify.rules.state import StateMutationRule
 
 
@@ -19,6 +20,15 @@ def lint(source, modname, rule):
 # ----------------------------------------------------------------------
 # layering
 # ----------------------------------------------------------------------
+#: Every import form that reaches the proptest oracle.
+ORACLE_IMPORTS = [
+    "import repro.proptest.oracle\n",
+    "from repro.proptest import oracle\n",
+    "from . import oracle\n",
+    "from .oracle import Oracle\n",
+]
+
+
 class TestLayeringRule:
     def test_hw_may_not_import_xpc(self):
         violations = lint(
@@ -84,6 +94,25 @@ class TestLayeringRule:
             "repro.kernel.kernel", LayeringRule())
         assert len(violations) == 1          # stdlib is fine, mystery not
         assert "mystery" in violations[0].message
+
+    def test_relative_imports_are_resolved(self):
+        violations = lint(
+            "from . import tlb\nfrom ..xpc.engine import XPCEngine\n",
+            "repro.hw.cpu", LayeringRule())
+        assert [v.line for v in violations] == [2]
+        assert "repro.xpc" in violations[0].message
+
+    @pytest.mark.parametrize("stmt", ORACLE_IMPORTS)
+    @pytest.mark.parametrize("leaf", ["executors", "gen", "fastexec"])
+    def test_mechanism_side_may_not_import_the_oracle(self, leaf, stmt):
+        violations = lint("import os\n" + stmt,
+                          f"repro.proptest.{leaf}", LayeringRule())
+        assert [v.line for v in violations] == [2]
+        assert "repro.proptest.oracle" in violations[0].message
+
+    @pytest.mark.parametrize("stmt", ORACLE_IMPORTS)
+    def test_harness_may_import_the_oracle(self, stmt):
+        assert lint(stmt, "repro.proptest.harness", LayeringRule()) == []
 
 
 # ----------------------------------------------------------------------
@@ -225,9 +254,21 @@ class TestStateMutationRule:
             "repro.services.fs", StateMutationRule())
         assert violations == []
 
+    @pytest.mark.parametrize("stmt", [
+        "t.link_stack[0][1] = 1",
+        "a, *t.seg_reg = data",
+        "for t.seg_reg in data: pass",
+        "with data as t.seg_reg: pass",
+        "del t.seg_reg",
+    ])
+    def test_every_write_form_flagged(self, stmt):
+        violations = lint(f"def f(t, data):\n    {stmt}\n",
+                          "repro.ipc.xpc_transport", StateMutationRule())
+        assert [v.line for v in violations] == [2]
+
 
 # ----------------------------------------------------------------------
-# obs discipline
+# encapsulation: the obs row
 # ----------------------------------------------------------------------
 class TestObsDisciplineRule:
     def test_direct_counter_value_write_forbidden(self):
@@ -238,9 +279,9 @@ class TestObsDisciplineRule:
             def f():
                 obs.ACTIVE.registry.counter("x").value += 1
             """,
-            "repro.kernel.kernel", ObsDisciplineRule())
+            "repro.kernel.kernel", EncapsulationRule())
         assert len(violations) == 1
-        assert violations[0].rule == "obs-discipline"
+        assert violations[0].rule == "encapsulation"
         assert "value" in violations[0].message
 
     def test_write_through_alias_forbidden(self):
@@ -252,13 +293,13 @@ class TestObsDisciplineRule:
                 registry = obs.ACTIVE.registry
                 registry.counter("x").value = 5
             """,
-            "repro.runtime.xpclib", ObsDisciplineRule())
+            "repro.runtime.xpclib", EncapsulationRule())
         assert len(violations) == 1
 
     def test_container_rebind_forbidden(self):
         violations = lint(
             "def f(session):\n    session.banks = {}\n",
-            "repro.services.fs.server", ObsDisciplineRule())
+            "repro.services.fs.server", EncapsulationRule())
         assert len(violations) == 1
         assert "container" in violations[0].message
 
@@ -270,8 +311,20 @@ class TestObsDisciplineRule:
             def f():
                 a, obs.ACTIVE.pmu.thing = 1, 2
             """,
-            "repro.ipc.xpc_transport", ObsDisciplineRule())
+            "repro.ipc.xpc_transport", EncapsulationRule())
         assert len(violations) == 1
+
+    @pytest.mark.parametrize("stmt", [
+        "reg.counters['a']['b'] = 1",
+        "a, *reg.counters = data",
+        "for reg.counters in data: pass",
+        "with data as reg.counters: pass",
+        "del reg.counters",
+    ])
+    def test_every_write_form_flagged(self, stmt):
+        violations = lint(f"def f(reg, data):\n    {stmt}\n",
+                          "repro.kernel.kernel", EncapsulationRule())
+        assert [v.line for v in violations] == [2]
 
     def test_reading_and_api_calls_allowed(self):
         violations = lint(
@@ -285,13 +338,13 @@ class TestObsDisciplineRule:
                     obs.ACTIVE.pmu.add(core, "cycles.xcall.captest", 6)
                     depth = obs.ACTIVE.spans.open_depth(0)
             """,
-            "repro.kernel.kernel", ObsDisciplineRule())
+            "repro.kernel.kernel", EncapsulationRule())
         assert violations == []
 
     def test_repro_obs_itself_exempt(self):
         violations = lint(
             "def f(self):\n    self.banks = {}\n",
-            "repro.obs.pmu", ObsDisciplineRule())
+            "repro.obs.pmu", EncapsulationRule())
         assert violations == []
 
     def test_pragma_suppresses(self):
@@ -300,14 +353,14 @@ class TestObsDisciplineRule:
             import repro.obs as obs
 
             def f():
-                obs.ACTIVE.registry.counter("x").value = 0  # verify-ok: obs-discipline
+                obs.ACTIVE.registry.counter("x").value = 0  # verify-ok: encapsulation
             """,
-            "repro.tools.bench", ObsDisciplineRule())
+            "repro.tools.bench", EncapsulationRule())
         assert violations == []
 
 
 # ----------------------------------------------------------------------
-# aio-discipline
+# encapsulation: the aio row
 # ----------------------------------------------------------------------
 class TestAioDisciplineRule:
     def test_private_ring_method_call_flagged(self):
@@ -316,15 +369,15 @@ class TestAioDisciplineRule:
             def f(ring, core, data):
                 ring._store(0, data)
             """,
-            "repro.services.fs.server", AioDisciplineRule())
+            "repro.services.fs.server", EncapsulationRule())
         assert len(violations) == 1
-        assert violations[0].rule == "aio-discipline"
+        assert violations[0].rule == "encapsulation"
         assert "_store" in violations[0].message
 
     def test_index_attribute_write_flagged(self):
         violations = lint(
             "def f(ring):\n    ring.sq_head = 7\n",
-            "repro.runtime.xpclib", AioDisciplineRule())
+            "repro.runtime.xpclib", EncapsulationRule())
         assert len(violations) == 1
         assert "sq_head" in violations[0].message
 
@@ -334,20 +387,20 @@ class TestAioDisciplineRule:
             def f(self):
                 self.ring.header.entries = 0
             """,
-            "repro.kernel.kernel", AioDisciplineRule())
+            "repro.kernel.kernel", EncapsulationRule())
         assert len(violations) == 1
         assert "entries" in violations[0].message
 
     def test_augmented_index_write_flagged(self):
         violations = lint(
             "def f(worker):\n    worker.batcher.ring.cq_tail += 1\n",
-            "repro.services.net.server", AioDisciplineRule())
+            "repro.services.net.server", EncapsulationRule())
         assert len(violations) == 1
 
     def test_repro_aio_itself_exempt(self):
         violations = lint(
             "def f(self):\n    self.sq_head = 0\n    self._store(0, b'')\n",
-            "repro.aio.ring", AioDisciplineRule())
+            "repro.aio.ring", EncapsulationRule())
         assert violations == []
 
     def test_holding_a_ring_reference_is_legal(self):
@@ -359,20 +412,33 @@ class TestAioDisciplineRule:
                 cqe = ring.pop_cqe(core)
                 depth = ring.sq_tail - ring.sq_head
             """,
-            "repro.services.fs.server", AioDisciplineRule())
+            "repro.services.fs.server", EncapsulationRule())
         assert violations == []
 
     def test_generic_entries_attribute_not_claimed(self):
         violations = lint(
             "def f(self):\n    self.entries = []\n",
-            "repro.kernel.kernel", AioDisciplineRule())
+            "repro.kernel.kernel", EncapsulationRule())
         assert violations == []
 
     def test_pragma_suppresses(self):
         violations = lint(
             """\
             def f(ring):
-                ring.sq_head = 0  # verify-ok: aio-discipline
+                ring.sq_head = 0  # verify-ok: encapsulation
             """,
-            "repro.tools.bench", AioDisciplineRule())
+            "repro.tools.bench", EncapsulationRule())
         assert violations == []
+
+    @pytest.mark.parametrize("stmt", [
+        "x.ring.slots[0][1] = 1",
+        "a, *x.ring.entries = data",
+        "for x.ring.entries in data: pass",
+        "with data as x.ring.entries: pass",
+        "del x.ring.entries",
+        "y = [0 for x.ring.entries in data]",
+    ])
+    def test_every_write_form_flagged(self, stmt):
+        violations = lint(f"def f(x, data):\n    {stmt}\n",
+                          "repro.kernel.kernel", EncapsulationRule())
+        assert [v.line for v in violations] == [2]

@@ -1,25 +1,23 @@
-"""Boundary suite pinning XPCEngineCache and FastEngineCache together.
+"""Boundary suite pinning the XPC engine cache's contract.
 
-The reference cache (``repro.xpc.engine_cache``) and the fast core's
-mirror (``repro.fastcore.hwmodel.FastEngineCache``) share no code, so
-these tests are the contract: identical hit/miss/evict/flush behavior
-over a real :class:`XEntryTable`, identical counters, and — because the
-cache's whole purpose is the 12-cycle x-entry load it saves — the
-measured xcall cycle charge with and without it must differ by exactly
-``xentry_load``, on both the engine and the fast-core tables.
+These tests are the contract of ``repro.xpc.engine_cache``: the exact
+hit/miss/evict/flush behavior over a real :class:`XEntryTable`, the
+exact counters, and — because the cache's whole purpose is the 12-cycle
+x-entry load it saves — the measured xcall cycle charge with and
+without it must differ by exactly ``xentry_load``, on both the engine
+and the fast-core tables.
 """
 
 import pytest
 
 from repro.fastcore import cycle_table
-from repro.fastcore.hwmodel import FastEngineCache
 from repro.hw.memory import PhysicalMemory
 from repro.hw.paging import AddressSpace
 from repro.params import DEFAULT_PARAMS
 from repro.xpc.engine_cache import XPCEngineCache
 from repro.xpc.entry import XEntryTable
 
-IMPLS = [XPCEngineCache, FastEngineCache]
+IMPLS = [XPCEngineCache]     # test ids name the model under test
 
 
 @pytest.fixture
@@ -34,10 +32,6 @@ def aspace():
 
 def handler(*args):
     return "handled"
-
-
-def _pair(table, **kwargs):
-    return XPCEngineCache(table, **kwargs), FastEngineCache(table, **kwargs)
 
 
 def _counters(cache):
@@ -122,28 +116,34 @@ def test_flush_clears_every_line(cls, table, aspace):
 
 
 def test_trace_equivalence(table, aspace):
-    """One interleaved prefetch/lookup/evict/flush trace, two caches:
-    results and counters agree on every step."""
-    ids = [table.register(aspace, handler, None).entry_id
-           for _ in range(4)]
-    ref, fast = _pair(table, entries=2)
-    trace = [("lookup", ids[0]), ("prefetch", ids[0]),
-             ("lookup", ids[0]), ("prefetch", ids[2]),
-             ("lookup", ids[0]), ("lookup", ids[2]),
-             ("evict", ids[2]), ("lookup", ids[2]),
+    """One interleaved prefetch/lookup/evict/flush trace over a
+    two-line cache: every lookup and the final counters are exactly as
+    expected.  Consecutive ids alternate lines, so ids[0]/ids[2] and
+    ids[1]/ids[3] conflict."""
+    entries = [table.register(aspace, handler, None) for _ in range(4)]
+    ids = [entry.entry_id for entry in entries]
+    cache = XPCEngineCache(table, entries=2)
+    trace = [("lookup", ids[0], None),          # cold miss
+             ("prefetch", ids[0]),
+             ("lookup", ids[0], entries[0]),
+             ("prefetch", ids[2]),              # replaces ids[0]
+             ("lookup", ids[0], None),
+             ("lookup", ids[2], entries[2]),
+             ("evict", ids[2]),
+             ("lookup", ids[2], None),
              ("prefetch", ids[1]), ("prefetch", ids[3]),
-             ("flush",), ("lookup", ids[1]), ("lookup", ids[3])]
-    for cache in (ref, fast):
-        for op in trace:
-            if op[0] == "lookup":
-                cache.lookup(op[1])
-            elif op[0] == "prefetch":
-                cache.prefetch(op[1])
-            elif op[0] == "evict":
-                cache.evict(op[1])
-            else:
-                cache.flush()
-    assert _counters(ref) == _counters(fast)
+             ("flush",),
+             ("lookup", ids[1], None), ("lookup", ids[3], None)]
+    for op in trace:
+        if op[0] == "lookup":
+            assert cache.lookup(op[1]) is op[2], op
+        elif op[0] == "prefetch":
+            cache.prefetch(op[1])
+        elif op[0] == "evict":
+            cache.evict(op[1])
+        else:
+            cache.flush()
+    assert _counters(cache) == (2, 5)
 
 
 def test_hit_saves_exactly_the_xentry_load():
