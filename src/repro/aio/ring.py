@@ -41,7 +41,7 @@ from typing import List, NamedTuple, Optional
 
 import repro.faults as faults
 import repro.obs as obs
-import repro.san as san
+import repro.probe as probe
 from repro.hw.cpu import Core
 from repro.xpc.errors import XPCError
 from repro.xpc.relayseg import RelaySegment, SegReg
@@ -313,9 +313,9 @@ class XPCRing:
         idx[_SQ_TAIL] = tail + 1
         idx[_NEXT_SEQ] = seq + 1
         self._publish(idx)
-        if san.ACTIVE is not None:
-            san.ACTIVE.access(core, self, "ring-sq",
-                              "aio.ring.push_sqe", "write")
+        if probe.ACCESS:
+            probe.access(core, self, "ring-sq", "aio.ring.push_sqe",
+                         "write")
         core.tick(core.params.aio_sqe_op
                   + int(fill * core.params.relay_fill_per_byte))
         return seq
@@ -331,9 +331,9 @@ class XPCRing:
             _CQE.size)
         idx[_CQ_HEAD] = head + 1
         self._publish(idx)
-        if san.ACTIVE is not None:
-            san.ACTIVE.access(core, self, "ring-cq",
-                              "aio.ring.pop_cqe", "write")
+        if probe.ACCESS:
+            probe.access(core, self, "ring-cq", "aio.ring.pop_cqe",
+                         "write")
         core.tick(core.params.aio_cqe_op)
         return CQE(*_CQE.unpack(raw))
 
@@ -347,11 +347,11 @@ class XPCRing:
                 f"(sq {sq_head}/{sq_tail}, cq {cq_head}/{cq_tail})")
         idx[_ARENA_CUR] = self._arena_off
         self._publish(idx)
-        if san.ACTIVE is not None:
-            san.ACTIVE.access(core, self, "ring-sq",
-                              "aio.ring.reset", "write")
-            san.ACTIVE.access(core, self, "ring-cq",
-                              "aio.ring.reset", "write")
+        if probe.ACCESS:
+            probe.access(core, self, "ring-sq", "aio.ring.reset",
+                         "write")
+            probe.access(core, self, "ring-cq", "aio.ring.reset",
+                         "write")
         core.tick(core.params.aio_index_reload)
 
     # -- drain side (worker owns the segment after the xcall) ----------
@@ -377,9 +377,9 @@ class XPCRing:
             _SQE.size)
         idx[_SQ_HEAD] = head + 1
         self._publish(idx)
-        if san.ACTIVE is not None:
-            san.ACTIVE.access(core, self, "ring-sq",
-                              "aio.ring.pop_sqe", "write")
+        if probe.ACCESS:
+            probe.access(core, self, "ring-sq", "aio.ring.pop_sqe",
+                         "write")
         core.tick(core.params.aio_sqe_op)
         return SQE(*_SQE.unpack(raw))
 
@@ -400,9 +400,9 @@ class XPCRing:
                       rdata_off, rdata_len))
         idx[_CQ_TAIL] = tail + 1
         self._publish(idx)
-        if san.ACTIVE is not None:
-            san.ACTIVE.access(core, self, "ring-cq",
-                              "aio.ring.push_cqe", "write")
+        if probe.ACCESS:
+            probe.access(core, self, "ring-cq", "aio.ring.push_cqe",
+                         "write")
         core.tick(core.params.aio_cqe_op
                   + int(len(rmeta_bytes) * core.params.relay_fill_per_byte))
 

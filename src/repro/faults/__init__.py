@@ -22,27 +22,22 @@ and in a test / chaos driver:
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import Callable, Optional
+from typing import Optional
 
+import repro.probe as probe
 from repro.faults.plan import (FaultEvent, FaultPlan, FaultPlanError,
                                FaultSpec)
 from repro.faults.points import CATALOGUE
 
 __all__ = [
     "ACTIVE", "CATALOGUE", "FaultEvent", "FaultPlan", "FaultPlanError",
-    "FaultSpec", "OBSERVER", "ProcessCrashFault", "active", "fire",
+    "FaultSpec", "ProcessCrashFault", "active", "fire",
     "install", "uninstall",
 ]
 
 #: The installed plan, or None.  Instrumented hot paths check this
 #: before calling fire() so the disarmed cost is a single global load.
 ACTIVE: Optional[FaultPlan] = None
-
-#: Injection observer: called as ``OBSERVER(point, action)`` whenever a
-#: fire() actually injects.  ``repro.obs`` installs its session hook
-#: here so injections show up as span annotations without this package
-#: importing (or knowing about) the observability layer.
-OBSERVER: Optional[Callable[[str, dict], None]] = None
 
 
 class ProcessCrashFault(Exception):
@@ -60,12 +55,13 @@ class ProcessCrashFault(Exception):
 
 def fire(point: str) -> Optional[dict]:
     """One hit of *point* against the installed plan (None when
-    disarmed or the plan declines)."""
+    disarmed or the plan declines).  An injection is announced at the
+    :func:`repro.probe.fault` site before the caller applies it."""
     if ACTIVE is None:
         return None
     action = ACTIVE.fire(point)
-    if action is not None and OBSERVER is not None:
-        OBSERVER(point, action)
+    if action is not None and probe.FAULT:
+        probe.fault(point, action)
     return action
 
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 import enum
 from typing import Dict, Optional, TYPE_CHECKING
 
-import repro.obs as obs
+import repro.probe as probe
 from repro.hw.cache import CacheModel
 from repro.hw.memory import PAGE_SIZE, PhysicalMemory
 from repro.hw.paging import AddressSpace, PageFault, PagePerm
@@ -58,7 +58,6 @@ class Core:
         self.xpc_engine: Optional["XPCEngine"] = None
         self.current_thread = None
         self.trap_count = 0
-        self.tracer = None          # optional repro.analysis.trace.Tracer
 
     # ------------------------------------------------------------------
     # Cycle accounting
@@ -74,10 +73,10 @@ class Core:
         """
         if cycles < 0:
             raise ValueError("cannot rewind the clock")
-        self.cycles += int(cycles)
-        session = obs.ACTIVE
-        if session is not None and session.profiler is not None:
-            session.profiler.on_tick(self, int(cycles))
+        cycles = int(cycles)
+        self.cycles += cycles
+        if probe.TICK:
+            probe.tick(self, cycles)
 
     # ------------------------------------------------------------------
     # Address-space control
@@ -88,21 +87,15 @@ class Core:
         if aspace is self.aspace:
             return
         self.aspace = aspace
-        if self.tracer is not None:
-            self.tracer.emit(self, "as-switch", aspace.name)
+        if probe.AS_SWITCH:
+            probe.as_switch(self, aspace, charge)
         if self.tlb.tagged:
             if charge:
                 self.tick(self.params.asid_switch)
-                if obs.ACTIVE is not None:
-                    obs.ACTIVE.pmu.add(self, "cycles.asid_switch",
-                                       self.params.asid_switch)
         else:
             self.tlb.flush_all()
             if charge:
                 self.tick(self.params.tlb_flush)
-                if obs.ACTIVE is not None:
-                    obs.ACTIVE.pmu.add(self, "cycles.tlb_flush",
-                                       self.params.tlb_flush)
 
     # ------------------------------------------------------------------
     # Translation (relay-seg window > TLB > page walk)
@@ -184,15 +177,13 @@ class Core:
         """Enter supervisor mode, charging the trap cost (Table 1)."""
         self.trap_count += 1
         self.mode = PrivilegeMode.SUPERVISOR
-        if self.tracer is not None:
-            self.tracer.emit(self, "trap", cause.value)
-        if obs.ACTIVE is not None:
-            obs.ACTIVE.pmu.add(self, f"traps.{cause.value}")
+        if probe.TRAP:
+            probe.trap(self, cause)
         self.tick(self.params.trap_enter)
 
     def trap_return(self) -> None:
         """Return to user mode, charging the restore cost (Table 1)."""
         self.mode = PrivilegeMode.USER
         self.tick(self.params.trap_restore)
-        if self.tracer is not None:
-            self.tracer.emit(self, "trap-ret")
+        if probe.TRAP_RET:
+            probe.trap_ret(self)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import List, Optional, TYPE_CHECKING
 
-import repro.obs as obs
+import repro.probe as probe
 from repro.hw.cache import _TagArray
 from repro.hw.cpu import Core
 from repro.hw.memory import PhysicalMemory
@@ -53,8 +53,8 @@ class Machine:
                 XPCEngine(core, self.xentry_table, xpc_config)
                 for core in self.cores
             ]
-        if obs.ACTIVE is not None:
-            obs.ACTIVE.on_machine(self)
+        if probe.MACHINE:
+            probe.machine(self)
 
     @property
     def core0(self) -> Core:

@@ -13,7 +13,7 @@ from typing import Dict, Optional, Tuple
 
 import repro.faults as faults
 import repro.obs as obs
-import repro.san as san
+import repro.probe as probe
 from repro.hw.cpu import Core
 from repro.ipc.transport import RelayPayload, ServerRegistration, Transport
 from repro.kernel.kernel import BaseKernel
@@ -214,9 +214,9 @@ class XPCTransport(Transport):
             # segment (paper Listing 1: "fill relay-seg with argument").
             # Not a copy — but the store stream allocates cache lines.
             mem.write(seg.pa_base, payload)
-            if san.ACTIVE is not None:
-                san.ACTIVE.access(core, seg, "relay-seg",
-                                  "ipc.xpc_transport.fill", "write")
+            if probe.ACCESS:
+                probe.access(core, seg, "relay-seg",
+                             "ipc.xpc_transport.fill", "write")
             core.tick(int(len(payload)
                           * self.kernel.params.relay_fill_per_byte))
         masked = _round_page(window_bytes)
@@ -260,9 +260,9 @@ class XPCTransport(Transport):
         try:
             if payload:
                 mem.write(seg.pa_base, payload)
-                if san.ACTIVE is not None:
-                    san.ACTIVE.access(core, seg, "relay-seg",
-                                      "ipc.xpc_transport.stage", "write")
+                if probe.ACCESS:
+                    probe.access(core, seg, "relay-seg",
+                                 "ipc.xpc_transport.stage", "write")
                 # Staging into the scratch segment is a real copy.
                 core.tick(self.kernel.params.copy_cycles(len(payload)))
             window_bytes = max(len(payload), reply_capacity)

@@ -24,7 +24,7 @@ import itertools
 from typing import Callable, Dict, List, Optional, Tuple
 
 import repro.obs as obs
-import repro.san as san
+import repro.probe as probe
 from repro.hw.cpu import Core, TrapCause
 from repro.hw.machine import Machine
 from repro.hw.memory import PAGE_SIZE
@@ -74,8 +74,8 @@ class BaseKernel:
         #: Subsystems (e.g. the Binder driver) that want to know when a
         #: process dies — callables taking the dead Process.
         self.death_hooks: List[Callable] = []
-        if obs.ACTIVE is not None:
-            obs.ACTIVE.on_kernel(self)
+        if probe.KERNEL:
+            probe.kernel(self)
 
     # ------------------------------------------------------------------
     # Processes & threads
@@ -103,14 +103,13 @@ class BaseKernel:
         engine = self._engine(core)
         if engine is not None:
             engine.bind(thread, thread.xpc)
-        if san.ACTIVE is not None:
+        if probe.HANDOFF:
             # Scheduler dispatch synchronizes the thread's XPC state with
-            # the new core: open fresh epochs on its link stack and seg.
-            san.ACTIVE.handoff(thread.xpc.link_stack, "link-stack",
-                               via="run_thread")
+            # the new core: its link stack and seg change hands.
+            probe.handoff(thread.xpc.link_stack, "link-stack", "run_thread")
             if thread.xpc.seg_reg.valid:
-                san.ACTIVE.handoff(thread.xpc.seg_reg.segment,
-                                   "relay-seg", via="run_thread")
+                probe.handoff(thread.xpc.seg_reg.segment, "relay-seg",
+                              "run_thread")
 
     def _engine(self, core: Core) -> Optional[XPCEngine]:
         return core.xpc_engine
@@ -244,8 +243,8 @@ class BaseKernel:
                 f"relay segment {seg.seg_id} is active on another thread")
         thread.xpc.seg_reg = SegReg.for_segment(seg)
         seg.active_owner = thread
-        if san.ACTIVE is not None:
-            san.ACTIVE.handoff(seg, "relay-seg", via="install_relay_seg")
+        if probe.HANDOFF:
+            probe.handoff(seg, "relay-seg", "install_relay_seg")
 
     def deactivate_relay_seg(self, thread) -> Optional[RelaySegment]:
         """Control plane: invalidate *thread*'s seg-reg, releasing
@@ -257,9 +256,9 @@ class BaseKernel:
         if not window.valid:
             return None
         window.segment.active_owner = None
-        if san.ACTIVE is not None:
-            san.ACTIVE.handoff(window.segment, "relay-seg",
-                               via="deactivate_relay_seg")
+        if probe.HANDOFF:
+            probe.handoff(window.segment, "relay-seg",
+                          "deactivate_relay_seg")
         return window.segment
 
     def free_relay_seg(self, core: Core, seg: RelaySegment) -> None:
@@ -437,12 +436,8 @@ class BaseKernel:
                 core.tick(self.params.trap_enter)
             # Pop the record regardless; hardware pop semantics.
             stack.force_pop()
-            if obs.ACTIVE is not None and record.obs_span is not None:
-                # Close the span the abandoned xcall opened: the frame
-                # never xrets, so the repair path is its only closer.
-                obs.ACTIVE.spans.end(core, record.obs_span,
-                                     repaired=True, restored=alive)
-                record.obs_span = None
+            if probe.REPAIR:
+                probe.repair(core, record, alive)
             if alive:
                 restored = record
                 break

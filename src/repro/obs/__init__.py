@@ -11,13 +11,15 @@ One :class:`ObsSession` bundles the three measurement surfaces:
 * :class:`~repro.obs.span.SpanTracer` — causally-nested spans along the
   xcall chain, exportable as Chrome ``trace_event`` JSON (Perfetto).
 
-Usage pattern at an instrumented site (null-sink default: the disarmed
-cost is a single global attribute check, mirroring ``repro.faults``):
+Machine events reach a session as a :mod:`repro.probe` subscriber
+(installing it subscribes it).  Application metrics go straight to the
+installed session's registry (null-sink default: the disarmed cost is
+a single global attribute check):
 
     import repro.obs as obs
     ...
     if obs.ACTIVE is not None:
-        obs.ACTIVE.pmu.add(core, "cycles.xcall.captest", 6)
+        obs.ACTIVE.registry.counter("kernel.repairs").inc(cycle=now)
 
 and in a test / benchmark driver:
 
@@ -36,9 +38,8 @@ from __future__ import annotations
 from contextlib import contextmanager
 from typing import Optional
 
-import repro.faults as faults
-from repro.analysis.trace import TraceEvent, Tracer
-from repro.obs.pmu import PMU, PMUSnapshot
+import repro.probe as probe
+from repro.obs.pmu import PHASE_COUNTERS, PMU, PMUSnapshot
 from repro.obs.profiler import (CycleProfiler, ProfileNode,
                                 diff_collapsed)
 from repro.obs.registry import (Counter, Gauge, Histogram,
@@ -48,8 +49,8 @@ from repro.obs.span import Span, SpanTracer
 __all__ = [
     "ACTIVE", "Counter", "CycleProfiler", "Gauge", "Histogram",
     "MetricsRegistry", "ObsSession", "PMU", "PMUSnapshot",
-    "ProfileNode", "Span", "SpanTracer", "TraceEvent", "Tracer",
-    "active", "diff_collapsed", "install", "prof_frame", "uninstall",
+    "ProfileNode", "Span", "SpanTracer", "active", "diff_collapsed",
+    "install", "prof_frame",
 ]
 
 #: The installed session, or None.  Instrumented hot paths check this
@@ -58,40 +59,80 @@ ACTIVE: Optional["ObsSession"] = None
 
 
 class ObsSession:
-    """One run's worth of observability state.
-
-    ``legacy`` optionally wires a :class:`repro.analysis.trace.Tracer`
-    in as the span tracer's point-event sink (the pre-span view).
-    """
+    """One run's worth of observability state."""
 
     def __init__(self, span_capacity: int = 100_000,
-                 legacy: Optional[Tracer] = None,
                  profile: bool = False) -> None:
         self.registry = MetricsRegistry()
         self.pmu = PMU()
-        self.spans = SpanTracer(capacity=span_capacity, legacy=legacy)
+        self.spans = SpanTracer(capacity=span_capacity)
         #: Cycle-attribution profiler, or None (the default: profiling
         #: off adds nothing beyond the existing ACTIVE check).
         self.profiler: Optional[CycleProfiler] = (
             CycleProfiler() if profile else None)
         self.spans.profiler = self.profiler
 
-    # -- wiring (called by Machine/BaseKernel constructors) ------------
-    def on_machine(self, machine) -> None:
-        self.pmu.attach_machine(machine)
-
-    def on_kernel(self, kernel) -> None:
-        self.pmu.attach_kernel(kernel)
+    # -- probe subscription (repro.probe sites) ------------------------
+    def probe_handlers(self) -> dict:
+        """``{site: handler}`` for :func:`repro.probe.subscribe`: tick
+        only when profiling, so ``Core.tick`` stays free otherwise."""
+        handlers = {
+            "machine": self.pmu.attach_machine,
+            "kernel": self.pmu.attach_kernel, "phase": self._on_phase,
+            "trap": self._on_trap, "as_switch": self._on_as_switch,
+            "xcall": self._on_xcall, "xret": self._on_xret,
+            "repair": self._on_repair, "fault": self.on_fault,
+        }
+        if self.profiler is not None:
+            handlers["tick"] = self.profiler.on_tick
+        return handlers
 
     def attach(self, machine, kernel=None) -> "ObsSession":
         """Register a machine (and kernel) built before this session
         was installed."""
-        self.on_machine(machine)
+        self.pmu.attach_machine(machine)
         if kernel is not None:
-            self.on_kernel(kernel)
+            self.pmu.attach_kernel(kernel)
         return self
 
-    # -- fault-injection bridge (repro.faults.OBSERVER) ----------------
+    def _on_phase(self, core, parts) -> None:
+        """One Fig. 5 split feeds both the PMU's per-phase event
+        counters and the profiler's leaf frames for the next tick."""
+        for label, cycles in parts:
+            counter = PHASE_COUNTERS.get(label)
+            if counter is not None:
+                self.pmu.add(core, counter, cycles)
+        if self.profiler is not None:
+            self.profiler.phase_split(core, parts)
+
+    def _on_trap(self, core, cause) -> None:
+        self.pmu.add(core, f"traps.{cause.value}")
+
+    def _on_as_switch(self, core, aspace, charge: bool) -> None:
+        if charge:
+            cost = "asid_switch" if core.tlb.tagged else "tlb_flush"
+            self.pmu.add(core, f"cycles.{cost}", getattr(core.params, cost))
+
+    def _on_xcall(self, core, record) -> None:
+        # The span covers the callee's execution window; the record
+        # carries it so the matching xret — or the kernel's §4.2
+        # repair path — closes exactly this span.
+        seg = record.passed_seg
+        record.obs_span = self.spans.begin(
+            core, f"xcall#{record.callee_entry_id}", cat="engine",
+            entry=record.callee_entry_id,
+            seg_bytes=seg.length if seg.valid else 0)
+
+    def _on_xret(self, core, record, **args) -> None:
+        if record.obs_span is not None:
+            self.spans.end(core, record.obs_span, **args)
+            record.obs_span = None
+
+    def _on_repair(self, core, record, restored: bool) -> None:
+        # The abandoned frame never xrets, so the repair path is the
+        # only closer of the span its xcall opened.
+        self._on_xret(core, record, repaired=True, restored=restored)
+
     def on_fault(self, point: str, action: dict) -> None:
         """An armed fault fired: count it and pin it to the timeline."""
         self.registry.counter(f"faults.injected.{point}").inc()
@@ -103,7 +144,6 @@ class ObsSession:
         the full Chrome trace (what ``python -m repro.obs`` renders)."""
         from repro.obs.report import aggregate_spans
         snapshot = self.pmu.snapshot()
-        legacy = self.spans.legacy
         artifact = {
             "title": title,
             "metrics": self.registry.as_dict(),
@@ -112,9 +152,7 @@ class ObsSession:
             "spans": {"finished": len(self.spans),
                       "dropped": self.spans.dropped,
                       "truncated": self.spans.truncated_total,
-                      "repaired": self.spans.repaired_total,
-                      "legacy_dropped": (legacy.dropped
-                                         if legacy is not None else 0)},
+                      "repaired": self.spans.repaired_total},
             "trace_events": self.spans.chrome_events(pid=title),
         }
         if self.profiler is not None:
@@ -125,9 +163,9 @@ class ObsSession:
 @contextmanager
 def prof_frame(core, label: str):
     """Open a profiler attribution frame around the block, iff the
-    installed session is profiling; free otherwise.  Instrumented
-    layers call this *after* the usual ``if obs.ACTIVE is not None``
-    guard, so the disarmed fast path never pays the generator."""
+    installed session is profiling.  Callers need no guard (the
+    kernel's trap handlers call it bare): disarmed, it costs one global
+    load plus the generator behind the ``with``."""
     session = ACTIVE
     profiler = session.profiler if session is not None else None
     if profiler is None:
@@ -138,24 +176,23 @@ def prof_frame(core, label: str):
 
 
 def install(session: Optional[ObsSession]) -> None:
+    """Make *session* the installed one (None uninstalls): it becomes
+    ``ACTIVE`` and the probe subscriber under the ``"obs"`` key."""
     global ACTIVE
     ACTIVE = session
-    faults.OBSERVER = session.on_fault if session is not None else None
-
-
-def uninstall() -> None:
-    install(None)
+    if session is None:
+        probe.unsubscribe("obs")
+    else:
+        probe.subscribe("obs", session.probe_handlers())
 
 
 @contextmanager
 def active(session: ObsSession):
     """Install *session* for the duration of the block (restoring the
     previous session, so nested scopes compose)."""
-    global ACTIVE
-    prev, prev_observer = ACTIVE, faults.OBSERVER
+    prev = ACTIVE
     install(session)
     try:
         yield session
     finally:
-        ACTIVE = prev
-        faults.OBSERVER = prev_observer
+        install(prev)

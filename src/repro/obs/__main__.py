@@ -81,7 +81,6 @@ def main(argv=None) -> int:
     summary = (f"summary: {len(artifacts)} artifacts, "
                f"{_total('finished')} spans finished, "
                f"{_total('dropped')} dropped, "
-               f"{_total('legacy_dropped')} legacy events dropped, "
                f"{_total('truncated')} truncated, "
                f"{_total('repaired')} repaired")
     report += "\n\n" + summary

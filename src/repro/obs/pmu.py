@@ -30,6 +30,17 @@ from typing import Dict, List, Optional
 #: baseline-subtracted by reset): high-watermarks and populations.
 LEVEL_SUFFIXES = (".hwm", ".depth", ".alive", ".queued")
 
+#: Fig. 5 phase (as split at the ``repro.probe.phase`` site) -> the
+#: event counter its cycles accumulate in.  ``phase:xret`` has none:
+#: xret cycles are the derived ``xret.cycles``.
+PHASE_COUNTERS = {
+    "phase:captest": "cycles.xcall.captest",
+    "phase:xentry": "cycles.xcall.xentry",
+    "phase:linkpush": "cycles.xcall.linkpush",
+    "phase:trampoline": "cycles.trampoline",
+    "phase:cstack": "cycles.cstack",
+}
+
 
 def _is_level(name: str) -> bool:
     return name.endswith(LEVEL_SUFFIXES)

@@ -5,9 +5,6 @@
     # cycle-attribution flamegraph of a canonical scenario
     python -m repro.prof flame --scenario fig5 --out fig5.folded
 
-    # host wall-clock breakdown of the fuzz campaign
-    python -m repro.prof host --seed 0 --programs 2
-
     # evaluate SLOs against a scenario run
     python -m repro.prof slo --scenario fig5 \\
         --spec "p99(xpc.call_cycles) < 2000"
@@ -29,7 +26,6 @@ import json
 import sys
 
 import repro.obs as obs
-from repro.prof.host import fuzz_host_breakdown
 from repro.prof.sentry import (bisect_regression, kernel_of,
                                machine_of, seed_captest_regression)
 from repro.prof.slo import SLOEngine
@@ -65,16 +61,6 @@ def cmd_flame(args: argparse.Namespace) -> int:
           f"{profiler.clock_cycles()} clock cycles "
           f"({'complete' if ok else 'INCOMPLETE'})")
     return 0 if ok else 1
-
-
-def cmd_host(args: argparse.Namespace) -> int:
-    profile = fuzz_host_breakdown(seed=args.seed,
-                                  programs=args.programs)
-    print(profile.render(top_n=args.top))
-    if args.json:
-        with open(args.json, "w") as fh:
-            json.dump(profile.as_dict(), fh, indent=2)
-    return 0
 
 
 def cmd_slo(args: argparse.Namespace) -> int:
@@ -120,7 +106,7 @@ def cmd_sentry(args: argparse.Namespace) -> int:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.prof",
-        description="cycle flames, host profiling, SLOs, perf sentry")
+        description="cycle flames, SLOs, perf sentry")
     sub = parser.add_subparsers(dest="cmd", required=True)
 
     p = sub.add_parser("flame", help="collapsed-stack cycle profile")
@@ -129,13 +115,6 @@ def main(argv=None) -> int:
     p.add_argument("--out", help="write folded stacks here")
     p.add_argument("--json", help="write the flame tree JSON here")
     p.set_defaults(fn=cmd_flame)
-
-    p = sub.add_parser("host", help="host wall-clock breakdown")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--programs", type=int, default=2)
-    p.add_argument("--top", type=int, default=10)
-    p.add_argument("--json")
-    p.set_defaults(fn=cmd_host)
 
     p = sub.add_parser("slo", help="evaluate SLO specs on a scenario")
     p.add_argument("--scenario", choices=sorted(SCENARIOS),

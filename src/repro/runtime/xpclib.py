@@ -23,6 +23,7 @@ from typing import Callable, Dict, List, Optional
 
 import repro.faults as faults
 import repro.obs as obs
+import repro.probe as probe
 from repro.hw.cpu import Core
 from repro.kernel.kernel import BaseKernel
 from repro.kernel.process import Thread
@@ -195,21 +196,14 @@ class XPCService:
         trampoline_cycles = (params.trampoline_partial_ctx
                              if self.partial_context
                              else params.trampoline_full_ctx)
-        if obs.ACTIVE is not None and obs.ACTIVE.profiler is not None:
-            obs.ACTIVE.profiler.phase_split(
-                core, (("phase:trampoline", trampoline_cycles),))
+        if probe.PHASE:
+            probe.phase(core, (("phase:trampoline", trampoline_cycles),))
         core.tick(trampoline_cycles)
         caller_id = engine.caller_id_reg
         ctx = self._acquire_context(core, caller_id)
-        if obs.ACTIVE is not None and obs.ACTIVE.profiler is not None:
-            obs.ACTIVE.profiler.phase_split(
-                core, (("phase:cstack", params.cstack_switch),))
+        if probe.PHASE:
+            probe.phase(core, (("phase:cstack", params.cstack_switch),))
         core.tick(params.cstack_switch)
-        if obs.ACTIVE is not None:
-            obs.ACTIVE.pmu.add(core, "cycles.trampoline",
-                               trampoline_cycles)
-            obs.ACTIVE.pmu.add(core, "cycles.cstack",
-                               params.cstack_switch)
         if faults.ACTIVE is not None:
             act = faults.fire("kernel.preempt")
             if act is not None:

@@ -21,11 +21,12 @@ The model is an epoch-based access log:
   protocol cannot explain — reported as a :class:`SanIssue` carrying
   both access sites (file:line precise).
 
-Like :mod:`repro.obs`, the sanitizer is a pure observer behind one
-global: instrumented sites do nothing but ``san.ACTIVE is not None``
-when disarmed, and even armed it never calls ``tick`` or mutates
-simulator state, so XPCSan-on runs are cycle-identical to XPCSan-off
-(enforced in CI exactly like obs).  Arm it per scope::
+Like :mod:`repro.obs`, the sanitizer is a pure observer: installing a
+session subscribes it to the ``handoff`` and ``access`` sites of
+:mod:`repro.probe`, so disarmed sites cost one global truth test, and
+even armed it never calls ``tick`` or mutates simulator state, so
+XPCSan-on runs are cycle-identical to XPCSan-off (enforced in CI
+exactly like obs).  Arm it per scope::
 
     import repro.san as san
     with san.active(san.SanSession()) as session:
@@ -44,9 +45,11 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
+import repro.probe as probe
+
 __all__ = [
     "ACTIVE", "SanAccess", "SanIssue", "SanSession", "active",
-    "format_issues", "from_env", "install", "uninstall",
+    "format_issues", "from_env", "install",
 ]
 
 #: The installed session, or None.  Instrumented hot paths check this
@@ -86,8 +89,12 @@ class SanIssue:
                 f"run_thread) between them")
 
 
-def _caller_location(depth: int = 2) -> str:
-    frame = sys._getframe(depth)
+def _caller_location() -> str:
+    """file:line of the instrumented site: the caller of
+    :meth:`SanSession.access`, or of :func:`repro.probe.access`."""
+    frame = sys._getframe(2)
+    if frame.f_globals.get("__name__") == probe.__name__:
+        frame = frame.f_back
     return f"{frame.f_code.co_filename}:{frame.f_lineno}"
 
 
@@ -165,10 +172,6 @@ class SanSession:
             self._identity_keys.setdefault(ident, []).append(key)
         return key
 
-    def name_of(self, obj: object, label: str) -> str:
-        """The session's stable display name for a tracked resource."""
-        return self._labels[self._key(obj, label)]
-
     # -- the two instrumentation entry points --------------------------
     def handoff(self, obj: object, label: str, via: str) -> None:
         """An ownership transfer on *obj*: open a fresh epoch.
@@ -236,25 +239,27 @@ def format_issues(issues: List[SanIssue]) -> str:
 
 
 def install(session: Optional[SanSession]) -> None:
+    """Make *session* the installed one (None uninstalls): it becomes
+    ``ACTIVE`` and the probe subscriber under the ``"san"`` key."""
     global ACTIVE
     ACTIVE = session
-
-
-def uninstall() -> None:
-    install(None)
+    if session is None:
+        probe.unsubscribe("san")
+    else:
+        probe.subscribe("san", {"handoff": session.handoff,
+                                "access": session.access})
 
 
 @contextmanager
 def active(session: SanSession):
     """Install *session* for the duration of the block (restoring the
     previous session, so nested scopes compose)."""
-    global ACTIVE
     prev = ACTIVE
     install(session)
     try:
         yield session
     finally:
-        ACTIVE = prev
+        install(prev)
 
 
 def from_env() -> Optional[SanSession]:

@@ -1,25 +1,25 @@
 """Pre-fault snapshots for the chaos harness.
 
-:class:`PreFaultSnapper` chains itself onto ``repro.faults.OBSERVER``,
-the hook :func:`repro.faults.fire` calls the moment a plan decides to
-inject.  The observer runs *after* the plan has recorded the event in
-its trace but *before* the fire site applies the action, so each
-snapshot captures the world on the brink of the fault: the event is
-already in the plan's trace (restoring and re-running the op replays
-the decision without re-rolling it), the damage is not yet done.
+:class:`PreFaultSnapper` subscribes to the ``fault`` site of
+:mod:`repro.probe`, which :func:`repro.faults.fire` announces the
+moment a plan decides to inject.  The site fires *after* the plan has
+recorded the event in its trace but *before* the fire site applies the
+action, so each snapshot captures the world on the brink of the fault:
+the event is already in the plan's trace (restoring and re-running the
+op replays the decision without re-rolling it), the damage is not yet
+done.
 
-Chaining composes with observability: enter ``obs.active(session)``
-first (it installs the session's own fault observer), then the
-snapper; injected faults are then both annotated on the span timeline
-and snapshotted.  World ``step`` methods leave an already-installed
-obs session in place for exactly this reason.
+The snapper subscribes ahead of every other observer, so it composes
+with observability in either nesting order: an injected fault is
+snapshotted first, then annotated on the span timeline, and a snapshot
+never holds its own fault's annotation.
 """
 
 from __future__ import annotations
 
 from typing import List, Optional, Tuple
 
-import repro.faults as faults
+import repro.probe as probe
 from repro.snap.core import Snapshot, capture
 
 
@@ -33,18 +33,13 @@ class PreFaultSnapper:
         #: (trimmed to the last *keep* when bounded).
         self.snapshots: List[Tuple[str, dict, Snapshot]] = []
         self.injections = 0
-        self._prev = None
-        self._armed = False
 
     def __enter__(self) -> "PreFaultSnapper":
-        self._prev = faults.OBSERVER
-        faults.OBSERVER = self._observe
-        self._armed = True
+        probe.subscribe(self, {"fault": self._observe}, first=True)
         return self
 
     def __exit__(self, *exc) -> bool:
-        faults.OBSERVER = self._prev
-        self._armed = False
+        probe.unsubscribe(self)
         return False
 
     def _observe(self, point: str, action: dict) -> None:
@@ -55,8 +50,6 @@ class PreFaultSnapper:
         self.snapshots.append((point, dict(action), snapshot))
         if self.keep is not None and len(self.snapshots) > self.keep:
             del self.snapshots[:-self.keep]
-        if self._prev is not None:
-            self._prev(point, action)
 
     def last(self) -> Optional[Tuple[str, dict, Snapshot]]:
         return self.snapshots[-1] if self.snapshots else None

@@ -24,9 +24,8 @@ world's own obs/faults sessions around the op.  That makes the op
 boundary a quiescent point: everything context-managed during an op is
 torn back down before a checkpoint is taken, so a restored world
 resumes with plain ``step`` calls and no ambient globals to rebuild.
-If an outer driver already installed this world's obs session (the
-chaos harness does, so :class:`~repro.snap.chaos.PreFaultSnapper` can
-chain the fault observer), ``step`` leaves it in place.
+If an outer driver already installed this world's obs session,
+``step`` leaves it in place.
 """
 
 from __future__ import annotations

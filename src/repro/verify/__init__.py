@@ -24,8 +24,8 @@ complementary static-analysis passes:
   call/ret/swapseg/grant/revoke interleavings) against the *real*
   :class:`repro.xpc.engine.XPCEngine`, asserting the protocol invariants
   in :mod:`repro.verify.invariants` and reporting any violation with the
-  minimal event sequence that produced it (replayable through
-  :mod:`repro.analysis.trace`).
+  minimal event sequence that produced it (replayed under a
+  :class:`repro.probe.EventLog`).
 
 Run standalone with ``python -m repro.verify`` (or the ``repro-lint``
 console script); both passes are also wired into pytest under

@@ -19,8 +19,8 @@ After every event the live world is compared against an independently
 maintained *shadow model* using the invariants in
 :mod:`repro.verify.invariants`.  Because the search is BFS, the first
 violation found is reached by a **minimal** event sequence; the
-counterexample report replays it with a :class:`repro.analysis.trace.Tracer`
-attached so the offending timeline is visible event by event.
+counterexample report replays it under a :class:`repro.probe.EventLog`
+so the offending timeline is visible event by event.
 
 States are revisited by replaying their witness path against a fresh
 world (the simulator has no snapshot/undo), which keeps the checker
@@ -30,10 +30,11 @@ honest: every explored edge executes the real engine microcode.
 from __future__ import annotations
 
 from collections import deque
+from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.analysis.trace import Tracer
+import repro.probe as probe
 from repro.hw.machine import Machine
 from repro.kernel.kernel import BaseKernel
 from repro.params import DEFAULT_PARAMS
@@ -167,7 +168,7 @@ class CounterExample:
                   for i, op in enumerate(self.path)]
         lines += [f"  -> {v}" for v in self.violations]
         if self.trace_text:
-            lines.append("replay trace (repro.analysis.trace):")
+            lines.append("replay trace (repro.probe.EventLog):")
             lines += ["  | " + line
                       for line in self.trace_text.splitlines()]
         return "\n".join(lines)
@@ -236,12 +237,13 @@ class ModelChecker:
 
     def replay(self, path: Sequence[Op],
                trace: bool = False) -> Tuple[World, Shadow,
-                                             Optional[Tracer]]:
+                                             Optional[probe.EventLog]]:
         world, shadow = self.build_world()
-        tracer = Tracer().attach(world.machine) if trace else None
-        for op in path:
-            self.apply_op(world, shadow, op)
-        return world, shadow, tracer
+        log = probe.EventLog() if trace else None
+        with log if log is not None else nullcontext():
+            for op in path:
+                self.apply_op(world, shadow, op)
+        return world, shadow, log
 
     # ------------------------------------------------------------------
     # Event application + transition invariants
@@ -409,5 +411,5 @@ class ModelChecker:
         return result
 
     def _trace_of(self, path: Tuple[Op, ...]) -> str:
-        _, _, tracer = self.replay(path, trace=True)
-        return tracer.to_text(limit=80) if tracer is not None else ""
+        _, _, log = self.replay(path, trace=True)
+        return log.to_text(limit=80)

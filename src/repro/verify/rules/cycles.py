@@ -31,9 +31,8 @@ CHARGE_FREE: Dict[str, Dict[str, FrozenSet[str]]] = {
     "repro.xpc.engine": {
         # bind/unbind are context-switch bookkeeping (the kernel charges
         # the switch); seg_translate's latency is charged by
-        # Core.translate; introspect is a debug/verification hook.
-        "XPCEngine": frozenset({"bind", "unbind", "seg_translate",
-                                "introspect"}),
+        # Core.translate.
+        "XPCEngine": frozenset({"bind", "unbind", "seg_translate"}),
     },
     "repro.hw.cpu": {
         # tick *is* the charging primitive.

@@ -21,7 +21,10 @@ The reproduction is layered like the system it models:
   :data:`FORBIDDEN_IMPORTS` lists them and is checked first.  They keep
   the two sides of each differential gate independent — the reference
   engine stack and the table-driven fast core, and the proptest
-  executors and the oracle they are diffed against.
+  executors and the oracle they are diffed against — and keep
+  :mod:`repro.probe` the one surface observers watch the machine
+  through: the machine model may not import an observer, and no layer
+  below the fuzz harness reads XPCSan directly.
 
 Relative imports are resolved to absolute names and checked like any
 other import.
@@ -39,23 +42,26 @@ from typing import Iterator, List, Optional, Tuple
 from repro.verify.lint import LintViolation, ModuleInfo, Rule
 
 #: unit -> units it may import (its own unit is always allowed).
-#: ``faults`` sits beside ``params`` at the bottom: it is pure policy
-#: (seeded decisions + trace recording) with no simulator dependencies,
-#: so every layer may consult it at its instrumented fault points.
+#: ``probe`` sits beside ``params`` at the bottom: the machine's sites
+#: report into it and observers subscribe to it.  ``faults`` is pure
+#: policy (seeded decisions + trace recording) with no simulator
+#: dependencies, so every layer may consult it at its fault points.
 ALLOWED_IMPORTS = {
     "params": set(),
-    "faults": set(),
+    "probe": set(),
+    "faults": {"probe"},
     # The table-driven fast core sits beside ``params`` at the bottom:
     # it precomputes cycle tables from CycleParams and must never see
     # the reference stack it re-implements (FORBIDDEN_IMPORTS pins this
     # set and forbids the reverse edge).
     "fastcore": {"params"},
-    "hw": {"params", "faults", "obs", "san"},
-    "xpc": {"hw", "params", "faults", "obs", "san"},
-    "kernel": {"xpc", "hw", "params", "faults", "obs", "san"},
-    "runtime": {"kernel", "xpc", "hw", "params", "faults", "obs", "san"},
+    "hw": {"params", "faults", "probe"},
+    "xpc": {"hw", "params", "faults", "probe"},
+    "kernel": {"xpc", "hw", "params", "faults", "obs", "probe"},
+    "runtime": {"kernel", "xpc", "hw", "params", "faults", "obs",
+                "probe"},
     "ipc": {"runtime", "kernel", "xpc", "hw", "params", "faults", "obs",
-            "san"},
+            "probe"},
     "sel4": {"ipc", "runtime", "kernel", "xpc", "hw", "params", "faults",
              "obs", "san"},
     "zircon": {"ipc", "runtime", "kernel", "xpc", "hw", "params", "faults",
@@ -68,25 +74,24 @@ ALLOWED_IMPORTS = {
     # transport's payload surface and the runtime library, and the
     # service servers adopt it for their batched front-ends.
     "aio": {"ipc", "runtime", "kernel", "xpc", "hw", "params", "faults",
-            "obs", "san"},
+            "obs", "probe"},
     "apps": {"services", "ipc", "runtime", "kernel", "xpc", "hw", "params",
              "faults", "obs", "san"},
     # Side packages: measurement and analysis tooling.
     # ``obs`` sits beside ``faults`` at the bottom: a pure observer
-    # (counters, spans, PMU sampling) that never charges cycles, so
-    # every layer may report into it at its instrumentation sites.
-    "obs": {"params", "faults", "analysis"},
-    # ``san`` (XPCSan) is another bottom-layer pure observer: the
-    # instrumented layers report ownership handoffs and per-core
-    # accesses into it, and it depends on nothing.
-    "san": set(),
+    # (counters, spans, PMU sampling) that never charges cycles, fed
+    # machine events by the probe and application metrics directly.
+    "obs": {"params", "probe", "analysis"},
+    # ``san`` (XPCSan) is another bottom-layer pure observer: it
+    # subscribes to the probe's ownership-handoff and access sites.
+    "san": {"probe"},
     "analysis": {"params"},
     "gem5": {"params", "hw"},
     "hwcost": {"params"},
     "compare": {"params"},
     "tools": {"analysis", "params", "obs"},
     "verify": {"runtime", "kernel", "xpc", "hw", "params", "faults",
-               "analysis", "obs"},
+               "analysis", "obs", "probe"},
     # Differential fuzzing drives every mechanism (and the analytic
     # model) from above, so it sits at the top of the stack alongside
     # apps; nothing may import *it*.
@@ -102,12 +107,12 @@ ALLOWED_IMPORTS = {
     # layer.
     "snap": {"proptest", "verify", "compare", "aio", "ipc", "sel4",
              "zircon", "services", "runtime", "kernel", "xpc", "hw",
-             "params", "faults", "obs", "san", "analysis"},
+             "params", "faults", "obs", "san", "analysis", "probe"},
     # Profiling/SLO/sentry tooling sits above snap: the sentry drives
-    # recorders and time travel, host profiling drives the proptest
-    # fleet, and the flame CLI runs snap scenarios.  The in-simulation
-    # CycleProfiler itself lives in repro.obs (the hw layer must reach
-    # it from Core.tick); aio consumes the SLO engine duck-typed, so
+    # recorders and time travel, and the flame CLI runs snap
+    # scenarios.  The in-simulation
+    # CycleProfiler itself lives in repro.obs (a subscriber to the
+    # probe's tick site); aio consumes the SLO engine duck-typed, so
     # nothing below imports repro.prof.
     "prof": {"snap", "proptest", "verify", "compare", "aio", "ipc",
              "sel4", "zircon", "services", "runtime", "kernel", "xpc",
@@ -146,6 +151,14 @@ FORBIDDEN_IMPORTS: Tuple[Tuple[Tuple[str, ...], Tuple[str, ...],
      ("repro.proptest.oracle",), (),
      "executors and the generator must earn outcomes through the real "
      "mechanisms, not read them off the reference model"),
+    (("repro.hw", "repro.xpc"),
+     ("repro.obs", "repro.san", "repro.analysis"), (),
+     "the machine model announces its sites through repro.probe only; "
+     "observers subscribe there"),
+    (("repro.kernel", "repro.ipc", "repro.aio", "repro.runtime"),
+     ("repro.san",), (),
+     "XPCSan is armed by subscribing to repro.probe's handoff and access "
+     "sites, never read at the call site"),
 )
 
 #: Modules of repro.hw that form its public, architectural surface.

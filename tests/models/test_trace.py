@@ -1,8 +1,12 @@
-"""The event tracer."""
+"""The machine's event stream: probe.EventLog and the obs xcall spans."""
+
+from collections import Counter
 
 import pytest
 
-from repro.analysis.trace import TraceEvent, Tracer
+import repro.obs as obs
+import repro.probe as probe
+from repro.hw.cpu import TrapCause
 from repro.hw.machine import Machine
 from repro.kernel.kernel import BaseKernel
 from repro.runtime.xpclib import XPCService, xpc_call
@@ -10,9 +14,8 @@ from tests.conftest import TRANSPORT_SPECS, build_transport, \
     register_echo
 
 
-def traced_world():
+def echo_world():
     machine = Machine(cores=1, mem_bytes=64 * 1024 * 1024)
-    tracer = Tracer().attach(machine)
     kernel = BaseKernel(machine)
     core = machine.core0
     server = kernel.create_process("server")
@@ -23,16 +26,27 @@ def traced_world():
     svc = XPCService(kernel, core, st, lambda call: "ok")
     kernel.grant_xcall_cap(core, server, ct, svc.entry_id)
     kernel.run_thread(core, ct)
-    tracer.clear()       # drop setup noise
-    return machine, tracer, core, svc
+    return machine, core, svc
+
+
+def logged_calls(calls=1):
+    """Set up off the log, then record *calls* xpc_calls."""
+    machine, core, svc = echo_world()
+    with probe.EventLog() as log:
+        for _ in range(calls):
+            xpc_call(core, svc.entry_id)
+    return log
+
+
+def kinds(log):
+    return Counter(e.kind for e in log.events)
 
 
 def test_xcall_xret_recorded_in_order():
-    machine, tracer, core, svc = traced_world()
-    xpc_call(core, svc.entry_id)
-    kinds = [e.kind for e in tracer.events]
-    assert kinds.index("xcall") < kinds.index("xret")
-    counts = tracer.counts()
+    log = logged_calls()
+    order = [e.kind for e in log.events]
+    assert order.index("xcall") < order.index("xret")
+    counts = kinds(log)
     assert counts["xcall"] == counts["xret"] == 1
     # No kernel trap happened anywhere on the path.
     assert "trap" not in counts
@@ -40,29 +54,29 @@ def test_xcall_xret_recorded_in_order():
 
 def test_baseline_ipc_traps_visible():
     machine, kernel, transport, ct = build_transport(TRANSPORT_SPECS[0])
-    tracer = Tracer().attach(machine)
     sid = register_echo(kernel, transport)
-    tracer.clear()
-    transport.call(sid, (), b"x")
-    counts = tracer.counts()
+    with probe.EventLog() as log:
+        transport.call(sid, (), b"x")
+    counts = kinds(log)
     assert counts.get("trap", 0) >= 2      # request + reply
     assert "xcall" not in counts
 
 
 def test_spans_pair_nested_calls():
-    machine, tracer, core, svc = traced_world()
-    xpc_call(core, svc.entry_id)
-    xpc_call(core, svc.entry_id)
-    durations = tracer.spans("xcall", "xret")
-    assert len(durations) == 2
-    assert all(d > 0 for d in durations)
+    machine, core, svc = echo_world()
+    with obs.active(obs.ObsSession()) as session:
+        xpc_call(core, svc.entry_id)
+        xpc_call(core, svc.entry_id)
+    spans = session.spans.find(f"xcall#{svc.entry_id}")
+    assert len(spans) == 2
+    assert all(span.duration > 0 for span in spans)
 
 
 def test_filter_by_kind_and_core():
-    machine, tracer, core, svc = traced_world()
-    xpc_call(core, svc.entry_id)
-    assert tracer.filter(kind="xcall")[0].core_id == 0
-    assert tracer.filter(kind="xcall", core_id=1) == []
+    log = logged_calls()
+    xcalls = [e for e in log.events if e.kind == "xcall"]
+    assert xcalls[0].core_id == 0
+    assert [e for e in xcalls if e.core_id == 1] == []
 
 
 class FakeCore:
@@ -72,79 +86,77 @@ class FakeCore:
 
 
 def test_capacity_bound():
-    tracer = Tracer(capacity=2)
-    for _ in range(5):
-        tracer.emit(FakeCore(), "trap")
-    assert len(tracer) == 2
-    assert tracer.dropped == 3
-    assert "dropped" in tracer.to_text()
+    with probe.EventLog(capacity=2) as log:
+        for _ in range(5):
+            probe.trap(FakeCore(), TrapCause.SYSCALL)
+    assert len(log.events) == 2
+    assert log.dropped == 3
+    assert "dropped" in log.to_text()
 
 
 def test_overflow_keeps_most_recent_events():
-    tracer = Tracer(capacity=3)
-    for i in range(6):
-        tracer.emit(FakeCore(cycles=i), "trap", f"n={i}")
+    with probe.EventLog(capacity=3) as log:
+        for i in range(6):
+            probe.trap(FakeCore(cycles=i), TrapCause.SYSCALL)
     # Ring-buffer semantics: the window holds the *newest* events and
     # the evictions are counted.
-    assert [e.cycle for e in tracer.events] == [3, 4, 5]
-    assert tracer.dropped == 3
+    assert [e.cycle for e in log.events] == [3, 4, 5]
+    assert log.dropped == 3
 
 
 def test_clear_resets_dropped():
-    tracer = Tracer(capacity=1)
-    tracer.emit(FakeCore(), "trap")
-    tracer.emit(FakeCore(), "trap")
-    assert tracer.dropped == 1
-    tracer.clear()
-    assert len(tracer) == 0 and tracer.dropped == 0
-    tracer.emit(FakeCore(), "xcall")
-    assert len(tracer) == 1
+    """Each log is its own window: a fresh one starts from zero while
+    the full one keeps its eviction count."""
+    with probe.EventLog(capacity=1) as full:
+        probe.trap(FakeCore(), TrapCause.SYSCALL)
+        probe.trap(FakeCore(), TrapCause.SYSCALL)
+    with probe.EventLog(capacity=1) as fresh:
+        probe.swapseg(FakeCore(), 0)
+    assert full.dropped == 1 and len(full.events) == 1
+    assert fresh.dropped == 0
+    assert [e.kind for e in fresh.events] == ["swapseg"]
 
 
 def test_events_are_cycle_ordered():
-    machine, tracer, core, svc = traced_world()
-    xpc_call(core, svc.entry_id)
-    xpc_call(core, svc.entry_id)
-    cycles = [e.cycle for e in tracer.filter(core_id=0)]
+    log = logged_calls(calls=2)
+    cycles = [e.cycle for e in log.events if e.core_id == 0]
     assert cycles == sorted(cycles)
     assert len(cycles) >= 4            # two xcall/xret pairs at least
 
 
 def test_filter_composes_kind_and_count():
-    machine, tracer, core, svc = traced_world()
-    xpc_call(core, svc.entry_id)
-    total = len(tracer.events)
-    by_kind = sum(len(tracer.filter(kind=k)) for k in tracer.counts())
-    assert by_kind == total
+    log = logged_calls()
+    by_kind = sum(kinds(log).values())
+    assert by_kind == len(log.events)
 
 
 def test_to_text_truncates_long_traces():
-    tracer = Tracer()
-    for i in range(60):
-        tracer.emit(FakeCore(cycles=i), "trap")
-    text = tracer.to_text(limit=10)
+    with probe.EventLog() as log:
+        for i in range(60):
+            probe.trap(FakeCore(cycles=i), TrapCause.SYSCALL)
+    text = log.to_text(limit=10)
     assert "50 more events" in text
 
 
 def test_to_text_renders_events():
-    machine, tracer, core, svc = traced_world()
-    xpc_call(core, svc.entry_id)
-    text = tracer.to_text()
+    text = logged_calls().to_text()
     assert "xcall" in text and "core0" in text
 
 
 def test_detach_stops_recording():
-    machine, tracer, core, svc = traced_world()
-    tracer.detach(machine)
+    machine, core, svc = echo_world()
+    with probe.EventLog() as log:
+        pass
     xpc_call(core, svc.entry_id)
-    assert len(tracer) == 0
+    assert len(log.events) == 0
+    assert probe.XCALL == ()
 
 
 def test_bad_capacity():
     with pytest.raises(ValueError):
-        Tracer(capacity=0)
+        probe.EventLog(capacity=0)
 
 
 def test_event_str():
-    event = TraceEvent(123, 1, "xcall", "entry=5")
+    event = probe.Event(123, 1, "xcall", "entry=5")
     assert "core1" in str(event) and "entry=5" in str(event)

@@ -28,6 +28,33 @@ ORACLE_IMPORTS = [
     "from .oracle import Oracle\n",
 ]
 
+#: Observer imports the probe surface replaces: (importer, statement,
+#: the forbidden target the violation must name).
+OBSERVER_IMPORTS = [
+    ("repro.hw.cpu", "import repro.obs as obs\n", "repro.obs"),
+    ("repro.hw.machine", "from repro.san import SanSession\n",
+     "repro.san"),
+    ("repro.xpc.engine", "from repro import san\n", "repro.san"),
+    ("repro.xpc.engine", "from ..obs import ObsSession\n", "repro.obs"),
+    ("repro.xpc.linkstack", "from repro.analysis import render_table\n",
+     "repro.analysis"),
+    ("repro.kernel.kernel", "import repro.san as san\n", "repro.san"),
+    ("repro.ipc.xpc_transport", "from repro.san import SanSession\n",
+     "repro.san"),
+    ("repro.aio.ring", "from ..san import SanSession\n", "repro.san"),
+    ("repro.runtime.xpclib", "import repro.san\n", "repro.san"),
+    ("repro.probe", "import repro.obs\n", "repro.obs"),
+]
+
+#: Edges the probe surface is built from.
+PROBE_IMPORTS = [
+    ("repro.hw.cpu", "import repro.probe as probe\n"),
+    ("repro.xpc.engine", "import repro.probe as probe\n"),
+    ("repro.faults", "import repro.probe as probe\n"),
+    ("repro.san", "import repro.probe as probe\n"),
+    ("repro.kernel.kernel", "import repro.obs as obs\n"),
+]
+
 
 class TestLayeringRule:
     def test_hw_may_not_import_xpc(self):
@@ -113,6 +140,17 @@ class TestLayeringRule:
     @pytest.mark.parametrize("stmt", ORACLE_IMPORTS)
     def test_harness_may_import_the_oracle(self, stmt):
         assert lint(stmt, "repro.proptest.harness", LayeringRule()) == []
+
+    @pytest.mark.parametrize("importer,stmt,target", OBSERVER_IMPORTS)
+    def test_observers_are_reached_only_through_the_probe(
+            self, importer, stmt, target):
+        violations = lint("import os\n" + stmt, importer, LayeringRule())
+        assert [v.line for v in violations] == [2]
+        assert target in violations[0].message
+
+    @pytest.mark.parametrize("importer,stmt", PROBE_IMPORTS)
+    def test_probe_edges_are_allowed(self, importer, stmt):
+        assert lint(stmt, importer, LayeringRule()) == []
 
 
 # ----------------------------------------------------------------------

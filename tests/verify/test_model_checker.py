@@ -3,6 +3,7 @@
 
 import pytest
 
+import repro.probe as probe
 from repro.verify.model import (
     CounterExample, ModelChecker, ModelConfig, op_str,
 )
@@ -32,12 +33,32 @@ def leaky_swapseg_mutator(world):
             window.segment.active_owner = self.current_thread
             state.seg_reg = window
         state.seg_mask = NO_MASK
-        if self.tracer is not None:
-            self.tracer.emit(self.core, "swapseg", f"slot={index}")
+        if probe.SWAPSEG:
+            probe.swapseg(self.core, index)
         self.core.tick(self.params.swapseg)
 
     for engine in world.machine.engines:
         engine.swapseg = bad_swapseg.__get__(engine, XPCEngine)
+
+
+def no_pop_mutator(world):
+    """Seed a LIFO bug: an ``xret`` that peeks the link stack and
+    never pops it."""
+
+    def bad_xret(self):
+        state = self._require_state()
+        record = state.link_stack.peek()      # peek, never pop!
+        if record is None:
+            raise XPCError("link stack empty")
+        self.core.set_address_space(record.caller_aspace)
+        state.cap_bitmap = record.caller_state
+        state.seg_reg = record.seg_reg
+        state.seg_mask = record.seg_mask
+        self.core.tick(self.params.xret_base)
+        return record
+
+    for engine in world.machine.engines:
+        engine.xret = bad_xret.__get__(engine, XPCEngine)
 
 
 class TestExhaustiveExploration:
@@ -108,28 +129,11 @@ class TestSeededBugs:
         assert "single-owner" in report
         for i in range(1, len(ce.path) + 1):
             assert f"{i}." in report      # numbered event sequence
-        # The replay trace (repro.analysis.trace) is embedded.
+        # The replay trace (repro.probe.EventLog) is embedded.
         assert "swapseg" in ce.trace_text
 
     def test_lifo_bug_is_caught(self):
         """Strip xret's pop and the LIFO invariant must fire."""
-
-        def no_pop_mutator(world):
-            def bad_xret(self):
-                state = self._require_state()
-                record = state.link_stack.peek()      # peek, never pop!
-                if record is None:
-                    raise XPCError("link stack empty")
-                self.core.set_address_space(record.caller_aspace)
-                state.cap_bitmap = record.caller_state
-                state.seg_reg = record.seg_reg
-                state.seg_mask = record.seg_mask
-                self.core.tick(self.params.xret_base)
-                return record
-
-            for engine in world.machine.engines:
-                engine.xret = bad_xret.__get__(engine, XPCEngine)
-
         cfg = ModelConfig(world_mutator=no_pop_mutator)
         result = ModelChecker(cfg).explore(stop_on_first=True)
         assert not result.ok
