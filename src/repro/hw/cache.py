@@ -10,7 +10,9 @@ never cached (data lives only in PhysicalMemory); the cache model supplies
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, replace
+from typing import DefaultDict
 
 from repro.params import CycleParams
 
@@ -36,11 +38,13 @@ class _TagArray:
         self.line = line
         self.sets = size_bytes // (ways * line)
         self.ways = ways
-        # Plain dicts in LRU order (oldest first): cheaper to build and
-        # to snapshot-copy than OrderedDicts, and insertion order is
+        # Set index -> plain dict of tags in LRU order (oldest first):
+        # cheaper to copy than OrderedDicts, and insertion order is
         # guaranteed; pop-and-reinsert refreshes a line, deleting the
-        # first key evicts the LRU way.
-        self._sets = [{} for _ in range(self.sets)]
+        # first key evicts the LRU way.  Sets are created on first
+        # touch, so a fresh or flushed array holds none, a flush is
+        # one clear() and a snapshot copies only the touched sets.
+        self._sets: DefaultDict[int, dict] = defaultdict(dict)
         self.stats = CacheStats()
 
     def access(self, pa: int) -> bool:
@@ -58,20 +62,20 @@ class _TagArray:
         return False
 
     def flush(self) -> None:
-        for tset in self._sets:
-            tset.clear()
+        self._sets.clear()
 
     def __deepcopy__(self, memo: dict) -> "_TagArray":
         """Tag sets hold only immutable ints, so a snapshot deepcopy
-        can rebuild them with shallow per-set copies instead of paying
-        the generic reduce path for a thousand dicts.  Goes through
+        can rebuild the touched sets with shallow per-set copies
+        instead of paying the generic reduce path.  Goes through
         *memo* so a shared L2 stays shared in the copy."""
         dup = _TagArray.__new__(_TagArray)
         memo[id(self)] = dup
         dup.line = self.line
         dup.sets = self.sets
         dup.ways = self.ways
-        dup._sets = [dict(tset) for tset in self._sets]
+        dup._sets = defaultdict(dict, {
+            index: dict(tset) for index, tset in self._sets.items()})
         dup.stats = replace(self.stats)
         return dup
 

@@ -236,24 +236,31 @@ class PhysicalMemory:
                 alloc.allocated, tuple(tuple(e) for e in alloc._extents))
 
     # -- allocation ------------------------------------------------------
+    # Invariant: every frame on the free list reads zero.  DRAM starts
+    # zeroed (anonymous mmap) and the free paths zero what they return,
+    # so allocation never has to fill — and never faults in host pages
+    # nobody writes.
+
     def alloc_page(self) -> int:
-        """Allocate one zeroed page; return its physical address."""
-        frame = self.allocator.alloc()
-        pa = frame << PAGE_SHIFT
-        self.fill(pa, PAGE_SIZE)
-        return pa
+        """Allocate one zeroed page; return its physical address.
+
+        Zeroed because free frames read zero (see the invariant above),
+        not because this fills it."""
+        return self.allocator.alloc() << PAGE_SHIFT
 
     def alloc_contiguous(self, nbytes: int) -> int:
-        """Allocate a zeroed, physically contiguous, page-aligned range."""
+        """Allocate a zeroed, physically contiguous, page-aligned range
+        (zeroed by the same invariant as :meth:`alloc_page`)."""
         nframes = (nbytes + PAGE_SIZE - 1) // PAGE_SIZE
-        frame = self.allocator.alloc_contiguous(nframes)
-        pa = frame << PAGE_SHIFT
-        self.fill(pa, nframes * PAGE_SIZE)
-        return pa
+        return self.allocator.alloc_contiguous(nframes) << PAGE_SHIFT
 
     def free_page(self, pa: int) -> None:
-        self.allocator.free(pa >> PAGE_SHIFT)
+        self.free_contiguous(pa, PAGE_SIZE)
 
     def free_contiguous(self, pa: int, nbytes: int) -> None:
+        """Return the frames and zero them (the allocator rejects a
+        double free first, so a live frame is never scrubbed)."""
+        frame = pa >> PAGE_SHIFT
         nframes = (nbytes + PAGE_SIZE - 1) // PAGE_SIZE
-        self.allocator.free(pa >> PAGE_SHIFT, nframes)
+        self.allocator.free(frame, nframes)
+        self.fill(frame << PAGE_SHIFT, nframes * PAGE_SIZE)

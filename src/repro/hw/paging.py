@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import enum
 import struct
-from typing import Iterator, Optional, Tuple
+from typing import Dict, Iterator, Optional, Tuple
 
 from repro.hw.memory import PAGE_SHIFT, PAGE_SIZE, PhysicalMemory
 
@@ -67,6 +67,12 @@ class PageTable:
         self.root_pa = mem.alloc_page()
         self._owned_tables = [self.root_pa]
         self.mapped_pages = 0
+        #: Host-side walk cache for :meth:`map`: ``(i0, i1)`` -> the L2
+        #: table's pa.  Only ever filled with tables reachable from the
+        #: root, so it is dropped whenever the root is cleared or the
+        #: tables are freed.  It saves host time, never cycles: ``map``
+        #: is a kernel operation the walker does not charge.
+        self._l2_tables: Dict[Tuple[int, int], int] = {}
 
     # -- PTE plumbing ----------------------------------------------------
     def _read_pte(self, table_pa: int, index: int) -> int:
@@ -97,8 +103,11 @@ class PageTable:
         if perm == PagePerm.NONE:
             raise ValueError("refusing to map with no permissions")
         i0, i1, i2 = _vpn_parts(va)
-        l1 = self._next_level(self.root_pa, i0, create=True)
-        l2 = self._next_level(l1, i1, create=True)
+        l2 = self._l2_tables.get((i0, i1))
+        if l2 is None:
+            l1 = self._next_level(self.root_pa, i0, create=True)
+            l2 = self._next_level(l1, i1, create=True)
+            self._l2_tables[(i0, i1)] = l2
         if self._read_pte(l2, i2) & _PTE_VALID:
             raise ValueError(f"va {va:#x} is already mapped")
         pte = (
@@ -180,12 +189,14 @@ class PageTable:
         page table (the top level page) without scanning")."""
         self.mem.fill(self.root_pa, PAGE_SIZE)
         self.mapped_pages = 0
+        self._l2_tables.clear()
 
     def destroy(self) -> None:
         """Free every table page owned by this radix tree."""
         for pa in self._owned_tables:
             self.mem.free_page(pa)
         self._owned_tables = []
+        self._l2_tables.clear()
 
 
 def _round_up(nbytes: int) -> int:

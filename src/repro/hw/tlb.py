@@ -8,7 +8,8 @@ Figure 5 removes that.  Both modes are modeled here.
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from collections import defaultdict
+from typing import DefaultDict, Optional, Tuple
 
 import repro.faults as faults
 from repro.hw.memory import PAGE_SHIFT
@@ -55,10 +56,11 @@ class TLB:
         self.sets = entries // ways
         self.ways = ways
         self.tagged = tagged
-        # Plain dicts in LRU order (oldest first) — see the cache tag
-        # arrays for why: much cheaper to build and snapshot-copy than
-        # OrderedDicts, with identical ordering semantics.
-        self._sets = [{} for _ in range(self.sets)]
+        # Set index -> plain dict in LRU order (oldest first), created
+        # on first touch — see the cache tag arrays for why: a flush is
+        # one clear() and a snapshot copies only the touched sets, with
+        # the same ordering semantics as a fixed list of OrderedDicts.
+        self._sets: DefaultDict[int, dict] = defaultdict(dict)
         self.stats = TLBStats()
 
     def _key(self, vpn: int, asid: int) -> Tuple[int, int]:
@@ -99,22 +101,22 @@ class TLB:
         tset.pop(self._key(vpn, asid), None)
 
     def flush_all(self) -> None:
-        for tset in self._sets:
-            tset.clear()
+        self._sets.clear()
         self.stats.flushes += 1
 
     def __deepcopy__(self, memo: dict) -> "TLB":
         """Entries map immutable ``(asid, vpn)`` to immutable
-        ``(ppn, PagePerm)``, so snapshot deepcopies rebuild the sets
-        with shallow per-set copies — same trick as the cache tag
-        arrays, and for the same reason: 64 generic dict
+        ``(ppn, PagePerm)``, so snapshot deepcopies rebuild the
+        touched sets with shallow per-set copies — same trick as the
+        cache tag arrays, and for the same reason: generic dict
         reconstructions per TLB would dominate snapshot cost."""
         dup = TLB.__new__(TLB)
         memo[id(self)] = dup
         dup.sets = self.sets
         dup.ways = self.ways
         dup.tagged = self.tagged
-        dup._sets = [dict(tset) for tset in self._sets]
+        dup._sets = defaultdict(dict, {
+            index: dict(tset) for index, tset in self._sets.items()})
         stats = self.stats
         dup.stats = TLBStats(stats.hits, stats.misses, stats.flushes)
         return dup
@@ -123,7 +125,7 @@ class TLB:
         if not self.tagged:
             self.flush_all()
             return
-        for tset in self._sets:
+        for tset in self._sets.values():
             for key in [k for k in tset if k[0] == asid]:
                 del tset[key]
         self.stats.flushes += 1

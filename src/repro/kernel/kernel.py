@@ -265,6 +265,9 @@ class BaseKernel:
         """Syscall: destroy a relay segment and reclaim its memory."""
         core.trap(TrapCause.SYSCALL)
         try:
+            if seg not in self.relay_segments:
+                raise KernelError(
+                    f"relay segment {seg.seg_id} is already freed")
             if seg.active_owner is not None:
                 raise KernelError("cannot free an active relay segment")
             seg.revoked = True

@@ -131,6 +131,22 @@ class TestRelaySegments:
         kernel.free_relay_seg(machine.core0, seg)
         assert machine.memory.allocator.free_frames == free_before
 
+    def test_double_free_rejected_before_state_changes(self, world):
+        machine, kernel = world
+        core = machine.core0
+        process = kernel.create_process("p")
+        seg, slot = kernel.create_relay_seg(core, process, 8192)
+        process.seg_list.drop(slot)
+        kernel.free_relay_seg(core, seg)
+        seg.revoked = False         # a stale handle; must stay untouched
+        extents = [list(e) for e in machine.memory.allocator._extents]
+        mode = core.mode
+        with pytest.raises(KernelError, match="already freed"):
+            kernel.free_relay_seg(core, seg)
+        assert seg.revoked is False
+        assert machine.memory.allocator._extents == extents
+        assert core.mode == mode
+
     def test_bad_size_rejected(self, world):
         machine, kernel = world
         process = kernel.create_process("p")
