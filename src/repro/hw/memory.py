@@ -137,15 +137,22 @@ class PhysicalMemory:
         self._snap_dirty: Optional[Set[int]] = None
 
     # -- raw access (no timing; timing is charged by the Core) ----------
+    # read/write test bounds and dormancy inline (one frame per DRAM
+    # access) and call _check only to raise its message.
     def read(self, pa: int, n: int) -> bytes:
-        self._check(pa, n)
-        return bytes(self._data[pa:pa + n])
+        data = self._data
+        if data is None or pa < 0 or n < 0 or pa + n > self.size:
+            self._check(pa, n)
+        return bytes(data[pa:pa + n])
 
     def write(self, pa: int, data: bytes) -> None:
-        self._check(pa, len(data))
-        self._data[pa:pa + len(data)] = data
-        if self._snap_dirty is not None and data:
-            self._touch(pa, len(data))
+        n = len(data)
+        dram = self._data
+        if dram is None or pa < 0 or pa + n > self.size:
+            self._check(pa, n)
+        dram[pa:pa + n] = data
+        if self._snap_dirty is not None and n:
+            self._touch(pa, n)
 
     def copy(self, dst_pa: int, src_pa: int, n: int) -> None:
         """Physical memmove (used by kernels and DMA models)."""

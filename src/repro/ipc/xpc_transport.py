@@ -156,8 +156,8 @@ class XPCTransport(Transport):
         self.call_count += 1
         self.bytes_moved += len(payload)
         span = None
-        obs_core = self.current_core
         if obs.ACTIVE is not None:
+            obs_core = self.current_core
             span = obs.ACTIVE.spans.begin(
                 obs_core, f"call:{service.name}", cat="transport",
                 sid=sid, bytes=len(payload))
@@ -173,11 +173,14 @@ class XPCTransport(Transport):
 
     def _call(self, service: XPCService, meta: tuple, payload: bytes,
               reply_capacity: int, window_slice) -> Tuple[tuple, bytes]:
-        # The core actually executing this call: the home core on the
-        # synchronous path, the *worker's* core when a handler invoked
-        # from a batched ring drain calls onward — its engine (not the
-        # home core's) holds the mid-call state the nested path needs.
-        core = self.current_core
+        # The core actually executing this call (``current_core``): the
+        # home core on the synchronous path, the *worker's* core when a
+        # handler invoked from a batched ring drain calls onward — its
+        # engine (not the home core's) holds the mid-call state the
+        # nested path needs.
+        core = self._serving_core
+        if core is None:
+            core = self.core
         engine = core.xpc_engine
         if self.lib_overhead:
             core.tick(self.lib_overhead)
@@ -219,13 +222,13 @@ class XPCTransport(Transport):
                              "ipc.xpc_transport.fill", "write")
             core.tick(int(len(payload)
                           * self.kernel.params.relay_fill_per_byte))
-        masked = _round_page(window_bytes)
+        masked = (window_bytes + 4095) & ~4095
         mask = (SegMask(0, masked) if window_bytes and masked < seg.length
                 else NO_MASK)
         # Migrating-thread model: cross-core calls run the server's code
         # on the client's core, so nothing extra is charged (§5.2).
         reply_meta, reply_len = xpc_call(
-            core, service.entry_id, len(payload), meta,
+            core, service.entry.entry_id, len(payload), meta,
             mask=mask, kernel=self.kernel)
         reply = mem.read(seg.pa_base, reply_len) if reply_len else b""
         self.ipc_cycles += ((core.cycles - start)

@@ -244,52 +244,6 @@ class XPCService:
                                        self.server_thread.process)
 
 
-def _xcall_with_spill(core: Core, engine: XPCEngine, entry_id: int,
-                      kernel: Optional[BaseKernel]):
-    """``xcall``, retrying through the §4.1 overflow trap.
-
-    A :class:`LinkStackOverflowError` is a recoverable resource
-    condition: the kernel spills the stack bottom to its own memory and
-    the xcall retries.  Without a kernel (bare-engine tests) or when
-    nothing can be spilled, the overflow propagates.
-    """
-    while True:
-        try:
-            return engine.xcall(entry_id)
-        except LinkStackOverflowError:
-            if kernel is None or engine.current_thread is None:
-                raise
-            if kernel.handle_link_overflow(core, engine.current_thread) == 0:
-                raise
-
-
-def _unwind(core: Core, engine: XPCEngine,
-            kernel: Optional[BaseKernel]) -> bool:
-    """``xret`` once, with kernel assistance.
-
-    Returns True when the return path had to be *repaired* because a
-    process in the chain died (§4.2) — the caller must then see
-    :class:`XPCPeerDiedError` instead of a result.  Underflow into the
-    kernel spill area refills and retries transparently.
-    """
-    while True:
-        try:
-            engine.xret()
-            return False
-        except LinkStackUnderflowError:
-            if kernel is None or engine.current_thread is None:
-                raise
-            if kernel.handle_link_underflow(core, engine.current_thread) == 0:
-                raise
-        except InvalidLinkageError:
-            if kernel is None or engine.current_thread is None:
-                raise
-            restored = kernel.repair_return(core, engine.current_thread)
-            if restored is None:
-                raise
-            return True
-
-
 def xpc_submit(batcher, meta: tuple, payload: bytes = b"",
                reply_capacity: int = 0,
                arrival_cycle: Optional[int] = None):
@@ -353,7 +307,20 @@ def _xpc_call_body(core: Core, entry_id: int, args,
     call_start = core.cycles
     if mask is not None:
         engine.write_seg_mask(mask)
-    entry, window = _xcall_with_spill(core, engine, entry_id, kernel)
+    # xcall, retrying through the §4.1 overflow trap: a
+    # LinkStackOverflowError is a recoverable resource condition — the
+    # kernel spills the stack bottom to its own memory and the xcall
+    # retries.  Without a kernel (bare-engine tests) or when nothing can
+    # be spilled, the overflow propagates.
+    while True:
+        try:
+            entry, window = engine.xcall(entry_id)
+            break
+        except LinkStackOverflowError:
+            if (kernel is None or engine.current_thread is None
+                    or kernel.handle_link_overflow(
+                        core, engine.current_thread) == 0):
+                raise
     # From here exactly one linkage record is ours to unwind.
     result = None
     crashed: Optional[BaseException] = None
@@ -370,7 +337,27 @@ def _xpc_call_body(core: Core, entry_id: int, args,
         used = core.cycles - start
         if used > timeout_cycles:
             timed_out = XPCTimeoutError(timeout_cycles, used)
-    died = _unwind(core, engine, kernel)
+    # xret once, with kernel assistance.  Underflow into the kernel
+    # spill area refills and retries transparently; a return that had
+    # to be *repaired* because a process in the chain died (§4.2) means
+    # the caller sees XPCPeerDiedError instead of a result.
+    died = False
+    while True:
+        try:
+            engine.xret()
+            break
+        except LinkStackUnderflowError:
+            if (kernel is None or engine.current_thread is None
+                    or kernel.handle_link_underflow(
+                        core, engine.current_thread) == 0):
+                raise
+        except InvalidLinkageError:
+            if (kernel is None or engine.current_thread is None
+                    or kernel.repair_return(
+                        core, engine.current_thread) is None):
+                raise
+            died = True
+            break
     if obs.ACTIVE is not None:
         registry = obs.ACTIVE.registry
         registry.histogram("xpc.call_cycles").observe(

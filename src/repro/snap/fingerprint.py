@@ -127,6 +127,16 @@ class _Walker:
         # through immutables alone, and any mutable object reached
         # below is still id-memoized, so recursion stays bounded.
         if isinstance(obj, tuple):
+            fields = getattr(type(obj), "_fields", None)
+            if fields is not None:
+                # A NamedTuple value type hashes like a frozen
+                # dataclass: its class name and named fields.
+                self._emit("frozen", type(obj).__qualname__.encode("utf-8"))
+                for name, value in zip(fields, obj):
+                    self._emit("attr", name.encode("utf-8"))
+                    self.walk(value)
+                self._emit("frozen-close")
+                return
             self._emit("tuple-open")
             for item in obj:
                 self.walk(item)

@@ -44,8 +44,12 @@ class XCallCapBitmap:
         return bool(self._bits[byte] & mask)
 
     def check(self, entry_id: int) -> None:
-        """Hardware check during ``xcall``; raises on a cleared bit."""
-        if not self.test(entry_id):
+        """Hardware check during ``xcall``; raises on a cleared bit.
+
+        An id past the bitmap has no bit to set, so it is refused the
+        same way (never the control plane's ``IndexError``)."""
+        if not (0 <= entry_id < self.nbits
+                and self._bits[entry_id >> 3] & (1 << (entry_id & 7))):
             raise InvalidXCallCapError(entry_id)
 
     def granted_ids(self):

@@ -122,6 +122,10 @@ class XPCEngine:
         #: xcall-cap-reg value, set by hardware, unforgeable.
         self.caller_id_reg: Optional[XCallCapBitmap] = None
         self.stats = XPCEngineStats()
+        #: ``(seg_reg, seg_mask, window)`` from the last validated
+        #: ``csrw seg-mask``: the next xcall reuses the window while
+        #: both registers still hold those very values.
+        self._mask_latch: Optional[Tuple[SegReg, SegMask, SegReg]] = None
         core.xpc_engine = self
 
     # ------------------------------------------------------------------
@@ -141,28 +145,35 @@ class XPCEngine:
     # ------------------------------------------------------------------
     def seg_translate(self, va: int, access: PagePerm) -> Optional[int]:
         state = self.state
-        if state is None or not state.seg_reg.valid:
+        if state is None:
             return None
         seg = state.seg_reg
-        if seg.segment.revoked:
+        segment = seg.segment
+        if segment is None or seg.length <= 0:
+            return None
+        if segment.revoked:
             # A revoked segment no longer translates (§4.4): the access
             # falls through to the page table and faults there.
             return None
-        if not seg.contains(va):
+        va_base = seg.va_base
+        if not va_base <= va < va_base + seg.length:
             return None
         if not seg.perm & access:
             return None
-        return seg.translate(va)
+        return seg.pa_base + (va - va_base)
 
     # ------------------------------------------------------------------
     # seg-mask / swapseg
     # ------------------------------------------------------------------
     def write_seg_mask(self, mask: SegMask) -> None:
         """``csrw seg-mask`` — validated against the current window."""
-        state = self._require_state()
-        if not mask.is_identity:
+        state = self.state
+        if state is None:
+            raise XPCError("no thread bound to the XPC engine")
+        if not (mask.offset == 0 and mask.length < 0):
             # Validation at write time (Table 2: "Invalid seg-mask").
-            apply_mask(state.seg_reg, mask)
+            seg_reg = state.seg_reg
+            self._mask_latch = (seg_reg, mask, apply_mask(seg_reg, mask))
             self.stats.seg_shrinks += 1
         state.seg_mask = mask
         self.core.tick(SEG_MASK_WRITE)
@@ -173,19 +184,20 @@ class XPCEngine:
         if state.seg_list is None:
             raise XPCError("no seg-list installed (seg-listp is null)")
         outgoing = state.seg_reg
-        if outgoing.valid:
-            outgoing.segment.active_owner = None
+        out_seg = outgoing.segment if outgoing.length > 0 else None
+        if out_seg is not None:
+            out_seg.active_owner = None
             if probe.HANDOFF:
-                probe.handoff(outgoing.segment, "relay-seg", "swapseg-out")
+                probe.handoff(out_seg, "relay-seg", "swapseg-out")
         incoming = state.seg_list.swap(index, outgoing)
-        if incoming.valid:
-            seg = incoming.segment
+        seg = incoming.segment if incoming.length > 0 else None
+        if seg is not None:
             if seg.active_owner not in (None, self.current_thread):
                 # Undo the swap and trap: the kernel's one-active-owner
                 # invariant (§3.3) would be violated.
                 state.seg_list.swap(index, incoming)
-                if outgoing.valid:
-                    outgoing.segment.active_owner = self.current_thread
+                if out_seg is not None:
+                    out_seg.active_owner = self.current_thread
                 raise XPCError(
                     "relay segment is active on another thread/core"
                 )
@@ -217,15 +229,21 @@ class XPCEngine:
         handler (the engine only redirects the PC); any XPCError raised
         here is delivered to the kernel as an exception.
         """
-        state = self._require_state()
+        state = self.state
+        if state is None:
+            raise XPCError("no thread bound to the XPC engine")
         if entry_id < 0:
             self.prefetch(-entry_id)
             raise XPCError("prefetch pseudo-call does not transfer control")
+        core = self.core
+        params = self.params
+        stats = self.stats
         cycles = XCALL_CAPTEST_FLOOR
         if self.regress_captest_extra:
             self._regress_seq = getattr(self, "_regress_seq", 0) + 1
             if self._regress_seq > self.regress_captest_after:
                 cycles += self.regress_captest_extra
+        captest_cycles = cycles
         xentry_cycles = 0
         try:
             # 1. capability check
@@ -236,23 +254,31 @@ class XPCEngine:
                 entry = self.cache.lookup(entry_id, self.current_thread)
             if entry is None:
                 entry = self.table.load(entry_id)
-                xentry_cycles = self.params.xentry_load
+                xentry_cycles = params.xentry_load
             else:
-                xentry_cycles = self.params.xentry_cache_hit
+                xentry_cycles = params.xentry_cache_hit
             cycles += xentry_cycles
         except XPCError:
-            self.stats.exceptions += 1
+            stats.exceptions += 1
             self._account_xcall(cycles, xentry_cycles, 0)
-            self.core.tick(cycles)
+            core.tick(cycles)
             raise
         # 3. linkage record push (non-blocking hides the store latency)
-        passed_seg = apply_mask(state.seg_reg, state.seg_mask)
+        seg_reg = state.seg_reg
+        seg_mask = state.seg_mask
+        latch = self._mask_latch
+        if (latch is not None and latch[0] is seg_reg
+                and latch[1] is seg_mask):
+            passed_seg = latch[2]     # validated by write_seg_mask
+        else:
+            passed_seg = apply_mask(seg_reg, seg_mask)
+        thread = self.current_thread
         record = LinkageRecord(
-            caller_aspace=self.core.aspace,
+            caller_aspace=core.aspace,
             caller_state=state.cap_bitmap,
-            caller_thread=self.current_thread,
-            seg_reg=state.seg_reg,
-            seg_mask=state.seg_mask,
+            caller_thread=thread,
+            seg_reg=seg_reg,
+            seg_mask=seg_mask,
             passed_seg=passed_seg,
             callee_entry_id=entry_id,
             caller_seg_list=state.seg_list,
@@ -263,69 +289,80 @@ class XPCEngine:
             # Link-stack overflow: a recoverable resource trap (§4.1).
             # Charge the cycles spent so far and report to the kernel,
             # which spills and lets the runtime retry the xcall.
-            self.stats.exceptions += 1
+            stats.exceptions += 1
             self._account_xcall(cycles, xentry_cycles, 0)
-            self.core.tick(cycles)
+            core.tick(cycles)
             raise
         if probe.ACCESS:
-            probe.access(self.core, state.link_stack, "link-stack",
+            probe.access(core, state.link_stack, "link-stack",
                          "xpc.engine.xcall.push", "write")
-        linkpush_cycles = (self.params.link_push_nonblocking
+        linkpush_cycles = (params.link_push_nonblocking
                            if self.config.nonblocking_linkstack
-                           else self.params.link_push)
+                           else params.link_push)
         cycles += linkpush_cycles
-        self._account_xcall(cycles, xentry_cycles, linkpush_cycles)
-        self.core.tick(cycles)
+        stats.xcall_cycles += cycles
+        if probe.PHASE:
+            # This tick is the xcall's lump charge (see _account_xcall).
+            probe.phase(core, (("phase:captest", captest_cycles),
+                               ("phase:xentry", xentry_cycles),
+                               ("phase:linkpush", linkpush_cycles)))
+        core.tick(cycles)
         # 4. page-table pointer + PC switch (TLB cost charged by the core)
-        if passed_seg.valid:
-            seg = passed_seg.segment
-            if seg.active_owner not in (None, self.current_thread):
+        seg = passed_seg.segment
+        if seg is not None and passed_seg.length > 0:
+            if seg.active_owner not in (None, thread):
                 raise XPCError(
                     "relay segment active on another thread "
                     "(kernel single-owner invariant violated)"
                 )
-            seg.active_owner = self.current_thread
-            self.stats.seg_bytes_passed += passed_seg.length
-            self.stats.seg_transfers += 1
+            seg.active_owner = thread
+            stats.seg_bytes_passed += passed_seg.length
+            stats.seg_transfers += 1
             if probe.HANDOFF:
                 probe.handoff(seg, "relay-seg", "xcall")
         self.caller_id_reg = state.cap_bitmap
         state.seg_reg = passed_seg
         state.seg_mask = NO_MASK
-        state.cap_bitmap = entry.callee_state or state.cap_bitmap
+        if entry.callee_state is not None:
+            state.cap_bitmap = entry.callee_state
         owner = entry.owner_process
         if owner is not None and getattr(owner, "seg_list", None) is not None:
             state.seg_list = owner.seg_list
-        self.core.set_address_space(entry.aspace)
+        core.set_address_space(entry.aspace)
         entry.invocations += 1
-        self.stats.xcalls += 1
+        stats.xcalls += 1
         if probe.XCALL:
-            probe.xcall(self.core, record)
+            probe.xcall(core, record)
         return entry, passed_seg
 
     def xret(self) -> LinkageRecord:
         """Execute ``xret``: pop, validate, restore the caller."""
-        state = self._require_state()
-        self.stats.xret_cycles += self.params.xret_base
+        state = self.state
+        if state is None:
+            raise XPCError("no thread bound to the XPC engine")
+        core = self.core
+        xret_base = self.params.xret_base
+        self.stats.xret_cycles += xret_base
         if probe.PHASE:
-            probe.phase(self.core, (("phase:xret", self.params.xret_base),))
-        self.core.tick(self.params.xret_base)
+            probe.phase(core, (("phase:xret", xret_base),))
+        core.tick(xret_base)
         try:
             record = state.link_stack.pop()
         except XPCError:
             self.stats.exceptions += 1
             raise
         if probe.ACCESS:
-            probe.access(self.core, state.link_stack, "link-stack",
+            probe.access(core, state.link_stack, "link-stack",
                          "xpc.engine.xret.pop", "write")
         # Relay-seg integrity: the callee must return exactly the window
         # it was handed (§3.3 "Return a relay-seg").  A window the kernel
         # revoked mid-call (§4.4) is exempt: revocation scrubs seg-reg
         # underneath the callee, which is the kernel's doing, not theft.
+        passed = record.passed_seg
+        passed_seg = passed.segment if passed.length > 0 else None
         if (not self.unsafe_skip_return_check
-                and state.seg_reg != record.passed_seg and not (
-                    record.passed_seg.valid
-                    and record.passed_seg.segment.revoked)):
+                and state.seg_reg != passed and not (
+                    passed_seg is not None and passed_seg.revoked)):
             self.stats.exceptions += 1
             # Put the record back: the kernel will repair the chain.
             record.valid = True
@@ -335,34 +372,36 @@ class XPCEngine:
                 "record (possible relay-seg theft)"
             )
         restored = record.seg_reg
-        if restored.valid and restored.segment.revoked:
+        restored_seg = restored.segment if restored.length > 0 else None
+        if restored_seg is not None and restored_seg.revoked:
             # Never re-install a revoked window at return.
             restored = SEG_INVALID
+            restored_seg = None
         state.seg_reg = restored
         state.seg_mask = record.seg_mask
         state.cap_bitmap = record.caller_state
         if record.caller_seg_list is not None:
             state.seg_list = record.caller_seg_list
-        if restored.valid:
-            restored.segment.active_owner = record.caller_thread
+        if restored_seg is not None:
+            restored_seg.active_owner = record.caller_thread
             if probe.HANDOFF:
-                probe.handoff(restored.segment, "relay-seg", "xret")
-        passed = record.passed_seg
-        if (probe.HANDOFF and passed.valid and passed.segment is not
-                (restored.segment if restored.valid else None)):
-            probe.handoff(passed.segment, "relay-seg", "xret")
-        self.core.set_address_space(record.caller_aspace)
+                probe.handoff(restored_seg, "relay-seg", "xret")
+        if (probe.HANDOFF and passed_seg is not None
+                and passed_seg is not restored_seg):
+            probe.handoff(passed_seg, "relay-seg", "xret")
+        core.set_address_space(record.caller_aspace)
         self.stats.xrets += 1
         if probe.XRET:
-            probe.xret(self.core, record)
+            probe.xret(core, record)
         return record
 
     # ------------------------------------------------------------------
     def _account_xcall(self, cycles: int, xentry_cycles: int,
                        linkpush_cycles: int) -> None:
-        """Record one xcall attempt's Fig. 5 phase decomposition
-        (captest + xentry + linkpush == cycles).  Pure accounting — the
-        caller charges the clock (single-charger discipline)."""
+        """Record one trapped xcall's Fig. 5 phase decomposition
+        (captest + xentry + linkpush == cycles); a completed xcall does
+        the same inline.  Pure accounting — the caller charges the clock
+        (single-charger discipline)."""
         self.stats.xcall_cycles += cycles
         if probe.PHASE:
             # The caller's next tick is this xcall's lump charge.

@@ -72,14 +72,16 @@ class LinkStack:
         self.high_watermark = 0
 
     def push(self, record: LinkageRecord) -> None:
-        if len(self._records) >= self.capacity or (
+        records = self._records
+        if len(records) >= self.capacity or (
                 faults.ACTIVE is not None
                 and faults.fire("xpc.linkstack.overflow") is not None):
             raise LinkStackOverflowError(depth=self.depth,
                                          capacity=self.capacity)
-        self._records.append(record)
-        if self.depth > self.high_watermark:
-            self.high_watermark = self.depth
+        records.append(record)
+        depth = len(records) + len(self._spilled)
+        if depth > self.high_watermark:
+            self.high_watermark = depth
 
     def pop(self) -> LinkageRecord:
         """Pop and validity-check the top record (hardware, at xret)."""

@@ -79,7 +79,9 @@ class RadixCapTable:
         return bool(node.get(last, False))
 
     def check(self, entry_id: int) -> None:
-        if not self.test(entry_id):
+        """Hardware check; an id outside the id space is refused like a
+        missing grant (never the control plane's ``IndexError``)."""
+        if not (0 <= entry_id < self.nbits and self.test(entry_id)):
             raise InvalidXCallCapError(entry_id)
 
     def check_cycles(self) -> int:

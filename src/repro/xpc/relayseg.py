@@ -16,8 +16,7 @@ ownership down the call chain and ``xret`` moves it back.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional
+from typing import List, NamedTuple, Optional
 
 from repro.hw.paging import PagePerm
 from repro.xpc.errors import InvalidSegMaskError, SwapSegError
@@ -55,11 +54,14 @@ class RelaySegment:
                 f"pa={self.pa_base:#x}, len={self.length})")
 
 
-@dataclass(frozen=True)
-class SegReg:
+class SegReg(NamedTuple):
     """The ``relay-seg`` register value: one directly-mapped window.
 
-    ``INVALID`` (segment None) means no active relay segment.
+    ``INVALID`` (segment None) means no active relay segment.  An
+    immutable value (equality, hashing and ``repr`` by field); the hot
+    path builds it positionally with :data:`_new` and tests
+    ``segment is not None and length > 0`` inline instead of
+    :attr:`valid`.
     """
 
     segment: Optional[RelaySegment] = None
@@ -88,8 +90,7 @@ class SegReg:
 SEG_INVALID = SegReg()
 
 
-@dataclass(frozen=True)
-class SegMask:
+class SegMask(NamedTuple):
     """The ``seg-mask`` register: (offset, length) shrink of seg-reg."""
 
     offset: int = 0
@@ -100,28 +101,30 @@ class SegMask:
         return self.offset == 0 and self.length < 0
 
 
+#: Positional construction without the per-call frame of the generated
+#: ``__new__``: ``_new(SegReg, (segment, va, pa, length, perm))``.
+_new = tuple.__new__
+
+
 def apply_mask(seg: SegReg, mask: SegMask) -> SegReg:
     """Intersect a seg-reg window with a mask (hardware, at xcall time).
 
     Raises :class:`InvalidSegMaskError` if the masked window escapes the
     seg-reg range — the paper's "Invalid seg-mask" exception.
     """
-    if mask.is_identity or not seg.valid:
-        return seg
-    if mask.offset < 0 or mask.length < 0:
+    offset, length = mask
+    if ((offset == 0 and length < 0) or seg.segment is None
+            or seg.length <= 0):
+        return seg      # identity mask, or no window to shrink
+    if offset < 0 or length < 0:
         raise InvalidSegMaskError("negative seg-mask field")
-    if mask.offset + mask.length > seg.length:
+    if offset + length > seg.length:
         raise InvalidSegMaskError(
-            f"mask [{mask.offset}, +{mask.length}) escapes window "
+            f"mask [{offset}, +{length}) escapes window "
             f"of length {seg.length}"
         )
-    return SegReg(
-        segment=seg.segment,
-        va_base=seg.va_base + mask.offset,
-        pa_base=seg.pa_base + mask.offset,
-        length=mask.length,
-        perm=seg.perm,
-    )
+    return _new(SegReg, (seg.segment, seg.va_base + offset,
+                         seg.pa_base + offset, length, seg.perm))
 
 
 NO_MASK = SegMask()
@@ -152,7 +155,8 @@ class SegList:
         """Hardware ``swapseg``: exchange slot *index* with *current*."""
         self._check_index(index)
         incoming = self._entries[index]
-        self._entries[index] = current if current.valid else None
+        self._entries[index] = (current if current.segment is not None
+                                and current.length > 0 else None)
         return incoming if incoming is not None else SEG_INVALID
 
     def segments(self):

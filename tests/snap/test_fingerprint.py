@@ -8,6 +8,7 @@ salt-proof sets, insertion-ordered dicts, cycle handling, the
 """
 
 import dataclasses
+from typing import NamedTuple
 
 import pytest
 
@@ -106,6 +107,19 @@ def test_frozen_dataclasses_hash_by_value():
     assert fingerprint((one, one)) == fingerprint((Frozen(7, "q"),
                                                    Frozen(7, "q")))
     assert fingerprint(one) != fingerprint(Frozen(8, "q"))
+
+
+class Pair(NamedTuple):
+    x: int
+    y: str
+
+
+def test_named_tuples_hash_by_value_and_type():
+    assert fingerprint(Pair(7, "q")) == fingerprint(Pair(7, "q"))
+    assert fingerprint(Pair(7, "q")) != fingerprint(Pair(8, "q"))
+    # Tagged by class and field names, like a frozen dataclass — never
+    # confused with the bare tuple of the same items.
+    assert fingerprint(Pair(7, "q")) != fingerprint((7, "q"))
 
 
 def test_snap_fingerprint_hook_overrides_vars():

@@ -46,6 +46,16 @@ def test_out_of_range():
         caps.test(-1)
 
 
+def test_check_refuses_out_of_range_ids_as_missing_caps():
+    """The data-plane check sees no bit past the bitmap: refused like a
+    cleared bit (the control-plane calls above keep IndexError)."""
+    caps = XCallCapBitmap(64)
+    for entry_id in (64, 65, -1):
+        with pytest.raises(InvalidXCallCapError) as info:
+            caps.check(entry_id)
+        assert info.value.entry_id == entry_id
+
+
 def test_copy_is_independent():
     caps = XCallCapBitmap(64)
     caps.grant(1)

@@ -325,3 +325,30 @@ class TestEngineCache:
         kernel.run_thread(core, ct2)
         # Another thread's prefetch must not hit (§6.1 timing attacks).
         assert engine.cache.lookup(entry.entry_id, ct2) is None
+
+
+class TestOutOfRangeCapIds:
+    """DESIGN §6: an xcall whose cap bit is not set always raises
+    invalid xcall-cap — an id past the bitmap has no bit at all, so it
+    is refused by the cap test like any cleared bit, and charged the
+    same cap-test floor."""
+
+    @pytest.mark.parametrize("entry_id", [1024, 1025, 1 << 20])
+    def test_xcall_past_the_bitmap_is_a_refused_cap_test(self, entry_id):
+        from repro.params import XCALL_CAPTEST_FLOOR
+        machine, kernel, core, (server, st), (client, ct) = build()
+        register(kernel, core, st)
+        kernel.run_thread(core, ct)
+        engine = machine.engines[0]
+        assert len(ct.xpc.cap_bitmap) == 1024
+        before = core.cycles
+        with pytest.raises(InvalidXCallCapError) as info:
+            engine.xcall(entry_id)
+        assert str(info.value) == (
+            f"no xcall capability for x-entry {entry_id}")
+        assert core.cycles - before == XCALL_CAPTEST_FLOOR
+        assert engine.stats.exceptions == 1
+        assert engine.stats.xcall_cycles == XCALL_CAPTEST_FLOOR
+        assert engine.stats.xcalls == 0
+        assert ct.xpc.link_stack.depth == 0
+        assert core.aspace is client.aspace

@@ -40,6 +40,13 @@ class TestRadixCap:
         with pytest.raises(IndexError):
             caps.grant(1 << 10)
 
+    def test_check_refuses_out_of_range_ids_as_missing_caps(self):
+        caps = RadixCapTable(id_bits=10)
+        for entry_id in (1 << 10, -1):
+            with pytest.raises(InvalidXCallCapError) as info:
+                caps.check(entry_id)
+            assert info.value.entry_id == entry_id
+
     def test_walk_costs_more_than_bitmap(self):
         """The §6.2 trade-off: the radix walk is slower per check."""
         from repro.params import DEFAULT_PARAMS
