@@ -31,7 +31,7 @@ from repro.hw.memory import PAGE_SIZE
 from repro.hw.paging import AddressSpace, PagePerm
 from repro.kernel.process import Process, Thread
 from repro.kernel.scheduler import Scheduler
-from repro.xpc.engine import XPCEngine
+from repro.xpc.engine import restore_caller
 from repro.xpc.entry import XEntry
 from repro.xpc.relayseg import RelaySegment, SegReg, SEG_INVALID
 
@@ -100,7 +100,7 @@ class BaseKernel:
             raise KernelError(f"{thread} is dead")
         core.current_thread = thread
         core.set_address_space(thread.process.aspace, charge=False)
-        engine = self._engine(core)
+        engine = core.xpc_engine
         if engine is not None:
             engine.bind(thread, thread.xpc)
         if probe.HANDOFF:
@@ -110,9 +110,6 @@ class BaseKernel:
             if thread.xpc.seg_reg.valid:
                 probe.handoff(thread.xpc.seg_reg.segment, "relay-seg",
                               "run_thread")
-
-    def _engine(self, core: Core) -> Optional[XPCEngine]:
-        return core.xpc_engine
 
     # ------------------------------------------------------------------
     # x-entry registration and capabilities (control plane, §4.2)
@@ -226,8 +223,7 @@ class BaseKernel:
         This is the user-mode ``swapseg`` path; the kernel only sets it up
         the first time (thereafter user code swaps without trapping).
         """
-        engine = self._engine(core)
-        engine.swapseg(slot)
+        core.xpc_engine.swapseg(slot)
 
     def install_relay_seg(self, thread, seg: RelaySegment) -> None:
         """Control plane: install *seg* directly as *thread*'s seg-reg.
@@ -445,9 +441,7 @@ class BaseKernel:
                 restored = record
                 break
         if restored is not None:
-            thread.xpc.seg_reg = restored.seg_reg
-            thread.xpc.seg_mask = restored.seg_mask
-            thread.xpc.cap_bitmap = restored.caller_state
+            restore_caller(thread.xpc, restored)
             core.set_address_space(restored.caller_aspace)
         core.trap_return()
         if obs.ACTIVE is not None:

@@ -2,7 +2,7 @@
 
 The simulator has exactly one charging primitive —
 :meth:`repro.hw.cpu.Core.tick` (the single-charger discipline the
-``cycle-accounting`` lint rule enforces) — so a profiler that observes
+``flow-charge`` analysis enforces) — so a profiler that observes
 every ``tick`` attributes **100% of charged cycles by construction**:
 the flame tree's total always equals the clock delta of the profiled
 window (:meth:`CycleProfiler.complete` asserts exactly that).

@@ -50,6 +50,7 @@ from repro.proptest.grammar import (
     SubmitOp, WaitOp, counter_bytes, xform_bytes,
 )
 from repro.sel4 import Sel4Kernel, Sel4Transport, Sel4XPCTransport
+from repro.verify.invariants import check_protocol
 from repro.xpc.errors import (InvalidXCallCapError, InvalidXEntryError,
                               XPCPeerDiedError)
 from repro.zircon import ZirconKernel, ZirconTransport, ZirconXPCTransport
@@ -95,6 +96,8 @@ class ExecutionReport:
     #: XPCSan findings when run under a sanitizing wrapper (must stay
     #: empty — any entry is an ownership/race invariant failure).
     san_issues: Optional[List[str]] = None
+    #: Protocol-catalogue violations, ``"<executor>: op <i> <what>"``.
+    invariant_failures: List[str] = field(default_factory=list)
 
 
 @dataclass
@@ -118,19 +121,27 @@ class _GenRec:
 def _run_steps(executor, program: Program) -> ExecutionReport:
     """The shared program loop: drive *executor* one op at a time.
 
-    Works on anything exposing ``step``/``core``/``_ipc_total`` — the
-    bare executors, the faulting/sanitizing wrappers, and (via
-    ``repro.snap``'s worlds) a restored mid-program executor resuming
-    from an op-boundary snapshot.
+    Works on anything exposing ``step``/``core``/``kernel``/
+    ``_ipc_total`` — the bare executors, the faulting/sanitizing
+    wrappers, and (via ``repro.snap``'s worlds) a restored mid-program
+    executor resuming from an op-boundary snapshot.  The protocol
+    catalogue runs after every op on a real kernel (not the fast
+    core's shim) into ``report.invariant_failures``.
     """
-    outcomes, op_cycles, op_ipc = [], [], []
-    for op in program.ops:
+    kernel = executor.kernel
+    checked = isinstance(kernel, BaseKernel)
+    outcomes, op_cycles, op_ipc, failures = [], [], [], []
+    for i, op in enumerate(program.ops):
         cycles0 = executor.core.cycles
         ipc0 = executor._ipc_total()
         outcomes.append(executor.step(op))
         op_cycles.append(executor.core.cycles - cycles0)
         op_ipc.append(executor._ipc_total() - ipc0)
-    return ExecutionReport(executor.name, outcomes, op_cycles, op_ipc)
+        if checked:
+            failures += [f"{executor.name}: op {i} {v}"
+                         for v in check_protocol(kernel)]
+    return ExecutionReport(executor.name, outcomes, op_cycles, op_ipc,
+                           invariant_failures=failures)
 
 
 class _ServiceHandler:

@@ -2,7 +2,7 @@
 
 For each executor the harness builds a fresh machine inside its own
 :class:`~repro.obs.ObsSession` (PMU banks attach at machine creation),
-runs the program, and then checks three things:
+runs the program, and then checks five things:
 
 1. **Outcomes** — every op's observable outcome equals the oracle's,
    byte for byte.  This is the differential property: five mechanisms
@@ -26,6 +26,10 @@ runs the program, and then checks three things:
    A mismatch is a :class:`Divergence` (expected/actual carry the two
    deltas as ``("cycles", n)``), so the shrinker can chase it like any
    outcome bug.
+5. **Protocol catalogue** — :func:`repro.verify.invariants.
+   check_protocol` holds after every op on every executor with a real
+   kernel (all but ``fastcore``); violations land in
+   ``invariant_failures`` with the executor name and op index.
 """
 
 from __future__ import annotations
@@ -75,8 +79,9 @@ class DiffResult:
     expected: List[tuple]
     reports: List[ExecutionReport]
     divergences: List[Divergence] = field(default_factory=list)
-    #: Failed invariants (monotonicity, PMU identity, model direction):
-    #: real failures, but not op-level divergences a shrinker can chase.
+    #: Failed invariants (monotonicity, PMU identity, model direction,
+    #: the per-op protocol catalogue): real failures, but not op-level
+    #: divergences a shrinker can chase.
     invariant_failures: List[str] = field(default_factory=list)
     #: Total simulated cycles burned across all executors (budgeting).
     sim_cycles: int = 0
@@ -207,6 +212,7 @@ def run_differential(program: Program,
         reports.append(report)
         sim_cycles += cycles
         invariant_failures.extend(_check_clock(report, snapshot))
+        invariant_failures.extend(report.invariant_failures)
         for issue in report.san_issues or ():
             invariant_failures.append(f"{report.executor}: {issue}")
         for i, (want, got) in enumerate(zip(expected, report.outcomes)):

@@ -10,7 +10,8 @@ properties of the paper's design:
 
 * **flow-charge** (:mod:`~repro.verify.flow.charge`) — every path
   through a public ``XPCEngine``/``Core``/``XPCRing`` method charges
-  cycles or exits free (catches early-return-skips-the-charge);
+  cycles or exits free (catches early-return-skips-the-charge and the
+  forgotten charge), and passive timing models never tick;
 * **flow-escape** (:mod:`~repro.verify.flow.escape`) — relay-seg and
   capability handles never escape the trusted layers into
   ``services``/``apps`` except via the sanctioned install/grant surface;
@@ -78,7 +79,8 @@ class FlowRule(Rule):
 class FlowChargeRule(FlowRule):
     name = "flow-charge"
     description = ("every path through a public XPCEngine/Core/XPCRing "
-                   "method must charge cycles or exit free")
+                   "method must charge cycles or exit free; passive "
+                   "timing models never tick")
 
     @property
     def analysis_cls(self):

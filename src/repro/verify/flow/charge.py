@@ -1,11 +1,17 @@
 """flow-charge: path-sensitive cycle-charge analysis.
 
-The syntactic :mod:`repro.verify.rules.cycles` rule asks "does a
-``tick`` appear *somewhere* in the method body?" — it cannot see the
-early return that skips the charge.  This analysis proves the stronger
-property on the CFG: **every path** through a public method of a
-charging class (``XPCEngine``, ``Core``, ``XPCRing``) reaches a charge
-before reaching a *valued* return.
+Every architectural operation charges calibrated cycles (paper
+Tables 1/3).  One table, :data:`CHARGE_TABLE`, names the classes:
+
+* a **charging class** (``XPCEngine``, ``Core``, ``XPCRing``): every
+  path through a public method that reaches a *valued* return must
+  charge — the early-return-skips-the-charge bug a "``tick`` appears
+  somewhere" check cannot see — flagged at each offending return; a
+  method with no such return that charges on *no* path is flagged at
+  its ``def`` line — the forgotten charge;
+* a **passive class** (``TLB``, ``CacheModel``, ``_TagArray``) is a
+  timing provider: a method that calls ``tick`` is flagged at its
+  ``def`` line (one clock, one charger).
 
 A node charges if its effect calls ``tick`` directly, or calls a
 function whose every resolution (by the humble name-resolver of
@@ -17,48 +23,62 @@ Declared-free exits, which do **not** need a charge on their path:
 
 * a bare ``return`` / ``return None`` — the guard-exit convention: a
   rejected precondition costs nothing architectural;
-* ``return <something>_cycles(...)`` — the cost-provider convention of
-  the syntactic rule (the caller charges);
+* ``return <something>_cycles(...)`` — the cost-provider convention
+  (the caller charges);
 * the exceptional exit (``RAISE``) — a raised typed error aborts the
   operation; its cost, if any, is the trap path's to model.
 
-Everything else — a valued return reached by some uncharged path — is a
-violation at that return's line.  Methods exempt in
-``cycles.CHARGE_FREE``, listed in :data:`FLOW_CHARGE_FREE`, named
-``*_cycles``, underscore-private, or decorated as
-property/static/classmethod are skipped, matching the syntactic rule's
-scope.  Suppress a sanctioned site with ``# verify-ok: flow-charge`` on
-the return line.
+Methods declared free in :data:`CHARGE_TABLE`, named ``*_cycles``,
+underscore-private, or decorated as property/static/classmethod are
+out of scope.  Suppress a sanctioned site with
+``# verify-ok: flow-charge`` on the reported line.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Dict, FrozenSet, Iterator, Set
+from typing import Dict, FrozenSet, Iterator, Optional
 
 from repro.verify.lint import LintViolation
-from repro.verify.rules.cycles import CHARGE_FREE, _is_property
 
 from repro.verify.flow.cfg import CFG, ENTRY, EXIT, call_name, effect_calls
 from repro.verify.flow.engine import fixpoint, solve_forward
 
-#: modname -> class names whose public methods the path analysis covers.
-FLOW_CHARGE_TARGETS: Dict[str, Set[str]] = {
-    "repro.xpc.engine": {"XPCEngine"},
-    "repro.hw.cpu": {"Core"},
-    "repro.aio.ring": {"XPCRing"},
+#: modname -> {class -> public methods that legitimately charge
+#: nothing}; a class mapped to :data:`PASSIVE` must never tick.
+PASSIVE = None
+CHARGE_TABLE: Dict[str, Dict[str, Optional[FrozenSet[str]]]] = {
+    "repro.xpc.engine": {
+        # bind/unbind are context-switch bookkeeping (the kernel charges
+        # the switch); seg_translate's latency is charged by
+        # Core.translate.
+        "XPCEngine": frozenset({"bind", "unbind", "seg_translate"}),
+    },
+    "repro.hw.cpu": {
+        # tick *is* the charging primitive.
+        "Core": frozenset({"tick"}),
+    },
+    "repro.aio.ring": {
+        # The read-side surface: pure observers, free by design.
+        "XPCRing": frozenset({
+            "peek_indices", "peek_cqes", "read_meta", "read_reply_meta",
+            "read_bytes", "payload_window", "space", "outstanding",
+            "next_seq", "attach",
+        }),
+    },
+    "repro.hw.tlb": {"TLB": PASSIVE},
+    "repro.hw.cache": {"CacheModel": PASSIVE, "_TagArray": PASSIVE},
 }
 
-#: class -> methods exempt from the *flow* rule only: pure observers the
-#: syntactic rule never covered (XPCRing grew out of repro.aio after
-#: cycles.py was written; its read-side surface is free by design).
-FLOW_CHARGE_FREE: Dict[str, FrozenSet[str]] = {
-    "XPCRing": frozenset({
-        "peek_indices", "peek_cqes", "read_meta", "read_reply_meta",
-        "read_bytes", "payload_window", "space", "outstanding",
-        "next_seq", "attach",
-    }),
-}
+
+def _is_property(node: ast.FunctionDef) -> bool:
+    for dec in node.decorator_list:
+        name = dec.attr if isinstance(dec, ast.Attribute) else \
+            dec.id if isinstance(dec, ast.Name) else ""
+        if name in ("property", "cached_property", "staticmethod",
+                    "classmethod"):
+            return True
+    return False
 
 
 def _is_none_return(stmt: ast.Return) -> bool:
@@ -127,38 +147,60 @@ class ChargeAnalysis:
     # -- the reported check --------------------------------------------
     def check(self, rule) -> Iterator[LintViolation]:
         for func in self.program.callgraph.functions:
-            targets = FLOW_CHARGE_TARGETS.get(func.module.modname)
-            if not targets or func.cls not in targets:
+            classes = CHARGE_TABLE.get(func.module.modname, {})
+            if func.cls not in classes:
                 continue
-            if func.name.startswith("_") or func.name.endswith("_cycles"):
-                continue
-            if func.name in CHARGE_FREE.get(func.module.modname,
-                                            {}).get(func.cls, frozenset()):
-                continue
-            if func.name in FLOW_CHARGE_FREE.get(func.cls, frozenset()):
-                continue
-            if _is_property(func.node):
-                continue
-            cfg = self.program.cfg_of(func)
-            facts = self._charged_in_facts(cfg, self.always_charges)
-            reach = cfg.reachable_from(ENTRY)
-            for node in cfg.statements():
-                stmt = node.stmt
-                if not isinstance(stmt, ast.Return):
-                    continue
-                if _is_none_return(stmt) or _is_cost_return(stmt):
-                    continue
-                if facts[node.id] or self._node_charges(
-                        node, self.always_charges):
-                    continue
-                if node.id not in reach:
-                    continue
-                v = rule.violation(
-                    func.module, stmt.lineno,
-                    f"{func.cls}.{func.name} has a path that reaches this "
-                    f"return without charging cycles (no tick() and no "
-                    f"always-charging callee on the path) — the "
-                    f"early-return-skips-the-charge bug class; charge "
-                    f"before returning or declare the exit free")
-                if v:
-                    yield v
+            free = classes[func.cls]
+            if free is PASSIVE:
+                yield from self._check_passive(rule, func)
+            elif not (func.name.startswith("_")
+                      or func.name.endswith("_cycles")
+                      or func.name in free or _is_property(func.node)):
+                yield from self._check_charging(rule, func)
+
+    def _check_passive(self, rule, func) -> Iterator[LintViolation]:
+        if any(isinstance(sub, ast.Call) and call_name(sub) == "tick"
+               for sub in ast.walk(func.node)):
+            v = rule.violation(
+                func.module, func.node.lineno,
+                f"{func.cls}.{func.name} calls tick() but {func.cls} is "
+                f"a passive timing model — all charging goes through "
+                f"the core (single-charger discipline)")
+            if v:
+                yield v
+
+    def _check_charging(self, rule, func) -> Iterator[LintViolation]:
+        cfg = self.program.cfg_of(func)
+        reach = cfg.reachable_from(ENTRY)
+        stmts = [n for n in cfg.statements() if n.id in reach]
+        summaries = self.always_charges
+        facts = self._charged_in_facts(cfg, summaries)
+        uncharged = [
+            n.stmt for n in stmts
+            if isinstance(n.stmt, ast.Return)
+            and not (_is_none_return(n.stmt) or _is_cost_return(n.stmt))
+            and not (facts[n.id] or self._node_charges(n, summaries))]
+        for stmt in uncharged:
+            v = rule.violation(
+                func.module, stmt.lineno,
+                f"{func.cls}.{func.name} has a path that reaches this "
+                f"return without charging cycles (no tick() and no "
+                f"always-charging callee on the path) — the "
+                f"early-return-skips-the-charge bug class; charge "
+                f"before returning or declare the exit free")
+            if v:
+                yield v
+        if uncharged or any(
+                self._node_charges(n, summaries)
+                or (isinstance(n.stmt, ast.Return)
+                    and _is_cost_return(n.stmt)) for n in stmts):
+            return
+        v = rule.violation(
+            func.module, func.node.lineno,
+            f"{func.cls}.{func.name} models an architectural operation "
+            f"but charges cycles on no path (no tick(), no "
+            f"always-charging callee, no *_cycles cost returned); "
+            f"charge it, or declare it free in "
+            f"repro.verify.flow.charge.CHARGE_TABLE")
+        if v:
+            yield v

@@ -1,33 +1,26 @@
-"""The XPC protocol invariants the model checker asserts.
+"""The XPC protocol invariants: one catalogue, checked everywhere.
 
-Each invariant is a pure function over the live world (the real machine,
-kernel, threads, and segments) plus the checker's *shadow model* — an
-independent re-derivation of what the architectural state must be,
-updated only from the event sequence itself.  The four invariants mirror
-the paper's security argument:
+Each invariant is a pure function over the live world (machine, kernel,
+threads, segments).  :func:`check_protocol` is the **catalogue** of
+every kernel-world property — single-owner relay-segs (§3.3/§6.1),
+revoked segments unmapped (§4.4), dead processes' x-entries invalid
+(§4.2), link stacks within their SRAM bound (§4.1) — each written once
+and run by every caller: the model checker after every event, the
+fuzz harness after every op, the chaos suite and time travel (as
+:func:`repro.verify.live.check_recovery_invariants`), and the ring
+check (through :func:`single_owner`).
 
-1. **link-stack LIFO** (§3.2): every thread's link stack is exactly the
-   stack of its outstanding ``xcall``s, in order, and ``xret`` restores
-   precisely the capability bitmap pushed by the matching ``xcall``.
-2. **single-owner relay-seg** (§3.3/§6.1, the TOCTTOU defence): at any
-   instant a relay segment is the active ``seg-reg`` window of at most
-   one thread, and its recorded ``active_owner`` agrees.
-3. **seg-mask monotonic shrink** (§3.3/§4.4): the window an ``xcall``
-   hands to the callee is contained in the caller's window — handover
-   can only shrink access, never widen it.
-4. **xcall-cap gating** (§3.2): an ``xcall`` succeeds if and only if the
-   shadow capability state says the calling thread's current bitmap has
-   the bit — no call without a grant, no spurious denial after one.
-
-Invariants 1, 2 are global state predicates (checked after every event);
-3, 4 are transition predicates (checked at the event that moves the
-state).
+The model checker adds what only its *shadow model* (state re-derived
+from the event sequence alone) can decide: **link-stack LIFO** (§3.2,
+:func:`check_lifo`), **seg-mask monotonic shrink** (§3.3/§4.4,
+:func:`check_shrink`) and **xcall-cap gating** (§3.2,
+:func:`check_cap_gate`); the last two are transition predicates.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 
 @dataclass(frozen=True)
@@ -62,28 +55,70 @@ def window_within(inner, outer) -> bool:
 
 
 # ----------------------------------------------------------------------
-# Global state invariants
+# The protocol catalogue (global state predicates)
 # ----------------------------------------------------------------------
-def check_single_owner(world) -> List[InvariantViolation]:
-    """No relay segment is the active window of two threads (§3.3)."""
-    out: List[InvariantViolation] = []
-    for seg in world.kernel.relay_segments:
-        holders = [t for t in world.threads
-                   if t.xpc.seg_reg.valid and t.xpc.seg_reg.segment is seg]
-        if len(holders) > 1:
-            names = ", ".join(t.name for t in holders)
-            out.append(InvariantViolation(
-                "single-owner",
-                f"relay segment {seg.seg_id} is the active seg-reg "
-                f"window of {len(holders)} threads at once ({names}) — "
-                f"TOCTTOU ownership violated"))
-        if holders and seg.active_owner not in holders:
-            out.append(InvariantViolation(
-                "single-owner",
-                f"relay segment {seg.seg_id} is mapped by "
-                f"{holders[0].name} but active_owner records "
-                f"{getattr(seg.active_owner, 'name', seg.active_owner)!r}"))
-    return out
+def single_owner(seg, holders) -> List[InvariantViolation]:
+    """§3.3/§6.1, strict: a windowed segment has exactly one holder
+    and ``active_owner`` is that holder — ``None`` too is a violation,
+    since ``free_relay_seg`` frees any segment whose owner is ``None``.
+    """
+    if len(holders) > 1:
+        names = ", ".join(t.name for t in holders)
+        return [InvariantViolation(
+            "single-owner",
+            f"relay segment {seg.seg_id} is the active seg-reg window "
+            f"of {len(holders)} threads at once ({names}) — TOCTTOU "
+            f"ownership violated")]
+    if seg.active_owner is not holders[0]:
+        return [InvariantViolation(
+            "single-owner",
+            f"relay segment {seg.seg_id} is windowed by "
+            f"{holders[0].name} but active_owner records "
+            f"{getattr(seg.active_owner, 'name', seg.active_owner)!r}")]
+    return []
+
+
+def check_protocol(kernel) -> List[InvariantViolation]:
+    """The catalogue: one pass over the threads, one over the
+    processes.  Reads Python state only — never ticks or announces."""
+    violations: List[InvariantViolation] = []
+    holders: Dict[object, list] = {}
+    for thread in kernel.threads:
+        xpc = thread.xpc
+        window = xpc.seg_reg
+        if window.length > 0:
+            holders.setdefault(window.segment, []).append(thread)
+        stack = xpc.link_stack
+        if stack.live_depth > stack.capacity:
+            violations.append(InvariantViolation(
+                "link-stack-bound",
+                f"{thread} link stack holds {stack.live_depth} SRAM "
+                f"records over capacity {stack.capacity}"))
+    for seg, threads in holders.items():
+        violations += single_owner(seg, threads)
+        if seg.revoked:
+            violations.append(InvariantViolation(
+                "revoked-unmapped",
+                f"revoked segment {seg.seg_id} still windowed by "
+                f"{threads[0]}"))
+    table = kernel.machine.xentry_table
+    for process in kernel.processes:
+        for slot, window in process.seg_list.segments():
+            if window.segment.revoked:
+                violations.append(InvariantViolation(
+                    "revoked-unmapped",
+                    f"revoked segment {window.segment.seg_id} still "
+                    f"parked in {process} seg-list slot {slot}"))
+        if process.alive or table is None:
+            continue
+        for entry_id in process.xentries:
+            entry = table.peek(entry_id)
+            if entry is not None and entry.valid:
+                violations.append(InvariantViolation(
+                    "dead-entries-invalid",
+                    f"x-entry {entry_id} of dead {process} is still "
+                    f"valid"))
+    return violations
 
 
 def check_lifo(world, shadow) -> List[InvariantViolation]:
@@ -142,5 +177,5 @@ def check_cap_gate(thread_name: str, entry_id: int, shadow_has_cap: bool,
 
 
 def check_state(world, shadow) -> List[InvariantViolation]:
-    """All global invariants, in one pass (run after every event)."""
-    return check_single_owner(world) + check_lifo(world, shadow)
+    """The catalogue plus the shadow's LIFO check, after every event."""
+    return check_protocol(world.kernel) + check_lifo(world, shadow)

@@ -1,4 +1,4 @@
-"""Live-world recovery invariants for chaos testing.
+"""Live-world invariants for chaos testing, rings and clusters.
 
 The model checker (:mod:`repro.verify.model`) proves the protocol
 invariants over a *bounded* synthetic world.  The chaos suite needs the
@@ -9,10 +9,11 @@ processes, threads, and segments and return
 :class:`~repro.verify.invariants.InvariantViolation` records
 (empty list = healthy).
 
-* :func:`check_recovery_invariants` — global state predicates:
-  single-owner relay-segs (§3.3/§6.1), revoked segments unmapped
-  (§4.4), dead processes' x-entries invalidated (§4.2), link stacks
-  within their SRAM bound (§4.1).
+* :func:`check_recovery_invariants` — the protocol catalogue
+  (:func:`repro.verify.invariants.check_protocol`) under the name the
+  chaos suite and time-travel debugger use.
+* :func:`check_ring_invariants` / :func:`check_cluster_invariants` —
+  aio ring and multi-node fabric predicates.
 * :func:`check_quiescent` — between top-level operations a client
   thread must be fully unwound: link stack empty and its home
   capability state restored (the LIFO property observed end-to-end).
@@ -22,76 +23,12 @@ from __future__ import annotations
 
 from typing import List
 
-from repro.verify.invariants import InvariantViolation
+from repro.verify.invariants import (InvariantViolation, check_protocol,
+                                     single_owner)
 
 
-def check_recovery_invariants(kernel) -> List[InvariantViolation]:
-    """Global predicates over the live kernel world."""
-    violations: List[InvariantViolation] = []
-    threads = kernel.threads
-
-    # -- single-owner: at most one live thread windows a segment, and
-    #    the segment's recorded active_owner agrees (§3.3/§6.1).
-    windowed = {}
-    for thread in threads:
-        window = thread.xpc.seg_reg
-        if window.valid:
-            windowed.setdefault(window.segment, []).append(thread)
-    for seg, holders in windowed.items():
-        if len(holders) > 1:
-            violations.append(InvariantViolation(
-                "single-owner",
-                f"segment {seg.seg_id} is the seg-reg window of "
-                f"{len(holders)} threads"))
-        elif seg.active_owner not in (None, holders[0]):
-            violations.append(InvariantViolation(
-                "single-owner",
-                f"segment {seg.seg_id} windowed by {holders[0]} but "
-                f"active_owner is {seg.active_owner}"))
-
-    # -- revoked-unmapped: a revoked segment translates nowhere (§4.4).
-    for seg in kernel.relay_segments:
-        if not seg.revoked:
-            continue
-        for thread in threads:
-            window = thread.xpc.seg_reg
-            if window.valid and window.segment is seg:
-                violations.append(InvariantViolation(
-                    "revoked-unmapped",
-                    f"revoked segment {seg.seg_id} still windowed by "
-                    f"{thread}"))
-        for process in kernel.processes:
-            for slot, window in process.seg_list.segments():
-                if window.segment is seg:
-                    violations.append(InvariantViolation(
-                        "revoked-unmapped",
-                        f"revoked segment {seg.seg_id} still parked in "
-                        f"{process} seg-list slot {slot}"))
-
-    # -- dead-entries-invalid: a dead process serves no x-entries (§4.2).
-    table = kernel.machine.xentry_table
-    if table is not None:
-        for process in kernel.processes:
-            if process.alive:
-                continue
-            for entry_id in process.xentries:
-                entry = table.peek(entry_id)
-                if entry is not None and entry.valid:
-                    violations.append(InvariantViolation(
-                        "dead-entries-invalid",
-                        f"x-entry {entry_id} of dead {process} is "
-                        f"still valid"))
-
-    # -- link-stack bound: SRAM occupancy never exceeds capacity (§4.1).
-    for thread in threads:
-        stack = thread.xpc.link_stack
-        if stack.live_depth > stack.capacity:
-            violations.append(InvariantViolation(
-                "link-stack-bound",
-                f"{thread} link stack holds {stack.live_depth} SRAM "
-                f"records over capacity {stack.capacity}"))
-
-    return violations
+#: The chaos suite's name for the protocol catalogue.
+check_recovery_invariants = check_protocol
 
 
 def check_ring_invariants(ring, kernel=None) -> List[InvariantViolation]:
@@ -108,8 +45,8 @@ def check_ring_invariants(ring, kernel=None) -> List[InvariantViolation]:
     * no CQE without a matching SQE: every unharvested completion's
       sequence number was allocated (< ``next_seq``), was consumed by
       the worker (< ``sq_head``), and appears at most once;
-    * single owner: the backing relay segment obeys §3.3 — at most one
-      live thread windows it, and ``active_owner`` agrees (checked when
+    * single owner: the backing relay segment obeys the catalogue's
+      :func:`~repro.verify.invariants.single_owner` (checked when
       *kernel* is given).
     """
     violations: List[InvariantViolation] = []
@@ -148,17 +85,12 @@ def check_ring_invariants(ring, kernel=None) -> List[InvariantViolation]:
     seg = getattr(ring, "segment", None)
     if seg is not None and kernel is not None:
         holders = [t for t in kernel.threads
-                   if t.xpc.seg_reg.valid and t.xpc.seg_reg.segment is seg]
-        if len(holders) > 1:
-            violations.append(InvariantViolation(
-                "single-owner",
-                f"{ring.name}: ring segment {seg.seg_id} windowed by "
-                f"{len(holders)} threads"))
-        elif holders and seg.active_owner not in (None, holders[0]):
-            violations.append(InvariantViolation(
-                "single-owner",
-                f"{ring.name}: ring segment {seg.seg_id} windowed by "
-                f"{holders[0]} but active_owner is {seg.active_owner}"))
+                   if t.xpc.seg_reg.length > 0
+                   and t.xpc.seg_reg.segment is seg]
+        if holders:
+            violations += [
+                InvariantViolation(v.invariant, f"{ring.name}: {v.message}")
+                for v in single_owner(seg, holders)]
 
     return violations
 

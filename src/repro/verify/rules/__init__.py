@@ -4,7 +4,6 @@ Each module holds one rule; :func:`default_rules` builds the suite the
 CLI, pytest, and CI all run.
 """
 
-from repro.verify.rules.cycles import CycleAccountingRule
 from repro.verify.rules.encapsulation import EncapsulationRule
 from repro.verify.rules.errors import ErrorDisciplineRule
 from repro.verify.rules.layering import LayeringRule
@@ -12,8 +11,8 @@ from repro.verify.rules.snap import SnapDisciplineRule
 from repro.verify.rules.state import StateMutationRule
 
 #: The rule classes, for introspection / selective runs.
-DEFAULT_RULES = (LayeringRule, CycleAccountingRule, ErrorDisciplineRule,
-                 StateMutationRule, EncapsulationRule, SnapDisciplineRule)
+DEFAULT_RULES = (LayeringRule, ErrorDisciplineRule, StateMutationRule,
+                 EncapsulationRule, SnapDisciplineRule)
 
 
 def default_rules():
@@ -21,6 +20,6 @@ def default_rules():
     return [rule() for rule in DEFAULT_RULES]
 
 
-__all__ = ["CycleAccountingRule", "EncapsulationRule",
-           "ErrorDisciplineRule", "LayeringRule", "SnapDisciplineRule",
-           "StateMutationRule", "default_rules", "DEFAULT_RULES"]
+__all__ = ["EncapsulationRule", "ErrorDisciplineRule", "LayeringRule",
+           "SnapDisciplineRule", "StateMutationRule", "default_rules",
+           "DEFAULT_RULES"]

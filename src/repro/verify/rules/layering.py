@@ -94,10 +94,11 @@ ALLOWED_IMPORTS = {
                "analysis", "obs", "probe"},
     # Differential fuzzing drives every mechanism (and the analytic
     # model) from above, so it sits at the top of the stack alongside
-    # apps; nothing may import *it*.
+    # apps; nothing may import *it*.  It runs verify's protocol
+    # catalogue after every op.
     "proptest": {"compare", "aio", "ipc", "sel4", "zircon", "runtime",
                  "kernel", "xpc", "hw", "params", "faults", "obs", "san",
-                 "fastcore"},
+                 "fastcore", "verify"},
     # Snapshot/record-replay/time-travel sits at the very top: it
     # deepcopies whole worlds built from any layer (including proptest
     # executors and verify's live invariants), so everything below is

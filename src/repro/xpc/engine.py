@@ -34,7 +34,8 @@ from repro.xpc.errors import (
 )
 from repro.xpc.linkstack import LinkageRecord, LinkStack
 from repro.xpc.relayseg import (
-    NO_MASK, SEG_INVALID, SegList, SegMask, SegReg, apply_mask,
+    NO_MASK, SEG_INVALID, RelaySegment, SegList, SegMask, SegReg,
+    apply_mask,
 )
 
 
@@ -61,6 +62,31 @@ class XPCThreadState:
     seg_reg: SegReg = SEG_INVALID
     seg_mask: SegMask = NO_MASK
     seg_list: Optional[SegList] = None
+
+
+def restore_caller(state: XPCThreadState,
+                   record: LinkageRecord) -> Optional[RelaySegment]:
+    """Re-install *record*'s caller: the one restore step of ``xret``
+    and the kernel's §4.2 repair.  Never re-installs a revoked window
+    (§4.4); releases the window the callee left and hands the restored
+    one back to the caller thread (§3.3).  Charges and announces
+    nothing; returns the restored segment."""
+    restored = record.seg_reg
+    restored_seg = restored.segment if restored.length > 0 else None
+    if restored_seg is not None and restored_seg.revoked:
+        restored = SEG_INVALID
+        restored_seg = None
+    left = state.seg_reg
+    if left.length > 0 and left.segment is not restored_seg:
+        left.segment.active_owner = None
+    state.seg_reg = restored
+    state.seg_mask = record.seg_mask
+    state.cap_bitmap = record.caller_state
+    if record.caller_seg_list is not None:
+        state.seg_list = record.caller_seg_list
+    if restored_seg is not None:
+        restored_seg.active_owner = record.caller_thread
+    return restored_seg
 
 
 @dataclass
@@ -371,21 +397,9 @@ class XPCEngine:
                 "seg-reg does not match the window saved in the linkage "
                 "record (possible relay-seg theft)"
             )
-        restored = record.seg_reg
-        restored_seg = restored.segment if restored.length > 0 else None
-        if restored_seg is not None and restored_seg.revoked:
-            # Never re-install a revoked window at return.
-            restored = SEG_INVALID
-            restored_seg = None
-        state.seg_reg = restored
-        state.seg_mask = record.seg_mask
-        state.cap_bitmap = record.caller_state
-        if record.caller_seg_list is not None:
-            state.seg_list = record.caller_seg_list
-        if restored_seg is not None:
-            restored_seg.active_owner = record.caller_thread
-            if probe.HANDOFF:
-                probe.handoff(restored_seg, "relay-seg", "xret")
+        restored_seg = restore_caller(state, record)
+        if restored_seg is not None and probe.HANDOFF:
+            probe.handoff(restored_seg, "relay-seg", "xret")
         if (probe.HANDOFF and passed_seg is not None
                 and passed_seg is not restored_seg):
             probe.handoff(passed_seg, "relay-seg", "xret")

@@ -16,7 +16,7 @@ ownership down the call chain and ``xret`` moves it back.
 
 from __future__ import annotations
 
-from typing import List, NamedTuple, Optional
+from typing import List, NamedTuple, Optional, Tuple
 
 from repro.hw.paging import PagePerm
 from repro.xpc.errors import InvalidSegMaskError, SwapSegError
@@ -159,11 +159,14 @@ class SegList:
                                 and current.length > 0 else None)
         return incoming if incoming is not None else SEG_INVALID
 
-    def segments(self):
-        """Iterate the parked windows (kernel revocation, §4.4)."""
-        for i, entry in enumerate(self._entries):
-            if entry is not None and entry.valid:
-                yield i, entry
+    def segments(self) -> List[Tuple[int, SegReg]]:
+        """The parked windows as ``(slot, window)`` pairs (kernel
+        revocation, §4.4; the invariant catalogue)."""
+        entries = self._entries
+        if entries.count(None) == self.slots:   # empty: no Python loop
+            return []
+        return [(i, entry) for i, entry in enumerate(entries)
+                if entry is not None and entry.length > 0]
 
     def drop(self, index: int) -> None:
         self._check_index(index)

@@ -243,6 +243,52 @@ class TestTermination:
         assert eager_cost > lazy_cost  # scanned the resident records
 
 
+class TestRepairRestoresLikeXret:
+    """§4.2 repair after a relay-seg theft (§3.3) restores the caller
+    exactly as a clean ``xret`` would."""
+
+    def _theft(self, kernel, core):
+        client = kernel.create_process("client")
+        thief = kernel.create_process("thief")
+        at = kernel.create_thread(client)
+        entry = kernel.register_xentry(core, kernel.create_thread(thief),
+                                       lambda *x: None)
+        kernel.grant_xcall_cap(core, thief, at, entry.entry_id)
+        kernel.run_thread(core, at)
+        own, slot = kernel.create_relay_seg(core, client, 4096)
+        kernel.activate_relay_seg(core, at, slot)
+        engine = kernel.machine.engines[0]
+        engine.xcall(entry.entry_id)
+        # The thief parks the handed-over window and leaves a fresh
+        # scratch window of its own in seg-reg.
+        scratch, slot = kernel.create_relay_seg(core, thief, 4096)
+        engine.swapseg(slot)
+        with pytest.raises(InvalidLinkageError):
+            engine.xret()
+        assert kernel.repair_return(core, at) is not None
+        return client, at, own, scratch
+
+    def test_callers_window_is_owned_again(self, world):
+        machine, kernel = world
+        client, at, own, scratch = self._theft(kernel, machine.core0)
+        assert at.xpc.seg_reg.segment is own
+        assert own.active_owner is at
+        with pytest.raises(KernelError, match="active"):
+            kernel.free_relay_seg(machine.core0, own)
+
+    def test_thiefs_scratch_window_is_released(self, world):
+        machine, kernel = world
+        client, at, own, scratch = self._theft(kernel, machine.core0)
+        assert scratch.active_owner is None
+        kernel.free_relay_seg(machine.core0, scratch)
+        assert scratch not in kernel.relay_segments
+
+    def test_caller_runs_on_its_own_seg_list(self, world):
+        machine, kernel = world
+        client, at, own, scratch = self._theft(kernel, machine.core0)
+        assert at.xpc.seg_list is client.seg_list
+
+
 class TestMultiCoreTermination:
     """§4.2 recovery with concurrent chains on two cores: one victim
     process is in the middle of A→B→C chains on *both* cores."""

@@ -56,6 +56,26 @@ def test_all_mechanisms_agree_on_the_full_coverage_program():
     assert result.sim_cycles > 0
 
 
+#: ``generate(1045)`` shrunk to its core: a chain hop forwards to a
+#: thief.  The §4.2 repair of the thief's return must restore the hop
+#: exactly as ``xret`` does — window, owner and seg-list — or the hop's
+#: own scratch swapseg lands in the thief's seg-list and the client's
+#: return fails the §3.3 check as well.
+SEED_1045 = Program((
+    RegisterOp("svc0", "chain"), GrantOp("svc0"),
+    RegisterOp("svc5", "thief"),
+    CallOp("svc0", ("fwd", "svc5", 0, ("steal", 0)), b"", 512),
+), seed=1045)
+
+
+def test_seed_1045_chain_hop_reports_the_thiefs_death():
+    result = run_differential(SEED_1045)
+    assert result.expected[3] == ("ok", ("via-err", "peer-died"), b"")
+    assert result.ok, (
+        [d.describe() for d in result.divergences]
+        + result.invariant_failures)
+
+
 @pytest.mark.fuzz
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_generated_programs_agree(seed):

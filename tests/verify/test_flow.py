@@ -2,8 +2,8 @@
 file:line finding — and stay quiet on the equivalent sound code.
 
 The seeded fixtures are the bug classes ISSUE/DESIGN name explicitly:
-the early-return-skips-the-charge path the syntactic cycle rule cannot
-see, the relay-seg handle escaping into ``repro.services``, and the
+the early-return-skips-the-charge path a "tick appears somewhere"
+check cannot see, the relay-seg handle escaping into ``repro.services``, and the
 broad ``except`` that swallows a typed error and then mutates ring
 state.
 """
@@ -12,8 +12,7 @@ import textwrap
 
 from repro.verify.flow import (FlowChargeRule, FlowEscapeRule,
                                FlowExceptRule, flow_source)
-from repro.verify.lint import lint_source, parse_module
-from repro.verify.rules.cycles import CycleAccountingRule
+from repro.verify.lint import parse_module
 
 
 def flow(source, modname, rule, extra=None):
@@ -49,11 +48,31 @@ class TestFlowCharge:
         assert v.line == 4                      # the `return -1` line
         assert "without charging" in v.message
 
-    def test_syntactic_cycle_rule_misses_the_same_bug(self):
-        # The point of the flow analysis: a tick *somewhere* satisfies
-        # the per-method syntactic rule, but not every *path* charges.
-        assert lint_source(CHARGE_SKIP, "repro.xpc.engine",
-                           [CycleAccountingRule()]) == []
+    def test_void_method_that_never_charges_is_caught(self):
+        # No valued return to check, but no path charges either: the
+        # forgotten charge is flagged at the def line.
+        violations = flow("""\
+            class XPCEngine:
+                def flush(self, core):
+                    self.pending = []
+                    if core is None:
+                        return
+                    self.flushed = True
+            """, "repro.xpc.engine", FlowChargeRule())
+        assert [v.line for v in violations] == [2]
+        assert "XPCEngine.flush" in violations[0].message
+        assert "no path" in violations[0].message
+
+    def test_helper_that_always_charges_makes_a_void_method_charge(self):
+        violations = flow("""\
+            class XPCEngine:
+                def flush(self, core):
+                    self._charge(core)
+
+                def _charge(self, core):
+                    core.tick(5)
+            """, "repro.xpc.engine", FlowChargeRule())
+        assert violations == []
 
     def test_bare_guard_return_is_a_free_exit(self):
         violations = flow("""\

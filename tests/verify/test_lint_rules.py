@@ -6,7 +6,7 @@ import textwrap
 import pytest
 
 from repro.verify import lint_source
-from repro.verify.rules.cycles import CycleAccountingRule
+from repro.verify.flow import FlowChargeRule, flow_source
 from repro.verify.rules.encapsulation import EncapsulationRule
 from repro.verify.rules.errors import ErrorDisciplineRule
 from repro.verify.rules.layering import LayeringRule
@@ -15,6 +15,10 @@ from repro.verify.rules.state import StateMutationRule
 
 def lint(source, modname, rule):
     return lint_source(textwrap.dedent(source), modname, [rule])
+
+
+def charge(source, modname):
+    return flow_source(textwrap.dedent(source), modname, [FlowChargeRule()])
 
 
 # ----------------------------------------------------------------------
@@ -154,49 +158,49 @@ class TestLayeringRule:
 
 
 # ----------------------------------------------------------------------
-# cycle accounting
+# cycle accounting (checked by the flow-charge analysis)
 # ----------------------------------------------------------------------
 class TestCycleAccountingRule:
     def test_engine_method_must_charge(self):
-        violations = lint(
+        violations = charge(
             """\
             class XPCEngine:
                 def xcall(self, entry_id):
                     return entry_id
             """,
-            "repro.xpc.engine", CycleAccountingRule())
+            "repro.xpc.engine")
         assert len(violations) == 1
         assert "xcall" in violations[0].message
 
     def test_tick_satisfies_the_rule(self):
-        violations = lint(
+        violations = charge(
             """\
             class XPCEngine:
                 def xcall(self, entry_id):
                     self.core.tick(10)
                     return entry_id
             """,
-            "repro.xpc.engine", CycleAccountingRule())
+            "repro.xpc.engine")
         assert violations == []
 
     def test_free_listed_methods_exempt(self):
-        violations = lint(
+        violations = charge(
             """\
             class XPCEngine:
                 def bind(self, thread, state):
                     self.state = state
             """,
-            "repro.xpc.engine", CycleAccountingRule())
+            "repro.xpc.engine")
         assert violations == []
 
     def test_passive_model_must_not_tick(self):
-        violations = lint(
+        violations = charge(
             """\
             class TLB:
                 def lookup(self, core, va):
                     core.tick(1)
             """,
-            "repro.hw.tlb", CycleAccountingRule())
+            "repro.hw.tlb")
         assert len(violations) == 1
         assert "passive" in violations[0].message
 
