@@ -90,6 +90,39 @@ class FrameAllocator:
             f"({self.free_frames} free in {len(self._extents)} extents)"
         )
 
+    def alloc_run(self, nframes: int) -> List[int]:
+        """The frames *nframes* successive :meth:`alloc` calls would
+        return, in that order, taken in one call.
+
+        Each :meth:`alloc` peels the first extent, so the run is the
+        head of the free list, spilling into the next extents when the
+        first is too short.  All or nothing: on a shortfall it raises
+        before taking a frame.
+        """
+        if nframes <= 0:
+            raise ValueError("nframes must be positive")
+        extents = self._extents
+        whole = 0           # leading extents the run uses up
+        short = nframes     # frames still wanted after them
+        while whole < len(extents) and extents[whole][1] <= short:
+            short -= extents[whole][1]
+            whole += 1
+        if short and whole == len(extents):
+            raise OutOfMemoryError(
+                f"no {nframes} free frames "
+                f"({self.free_frames} free in {len(extents)} extents)")
+        frames: List[int] = []
+        for start, size in extents[:whole]:
+            frames.extend(range(start, start + size))
+        del extents[:whole]
+        if short:
+            head = extents[0]
+            frames.extend(range(head[0], head[0] + short))
+            head[0] += short
+            head[1] -= short
+        self.allocated += nframes
+        return frames
+
     def free(self, start_frame: int, nframes: int = 1) -> None:
         """Return frames to the free list, coalescing neighbours."""
         if nframes <= 0:
@@ -254,6 +287,12 @@ class PhysicalMemory:
         Zeroed because free frames read zero (see the invariant above),
         not because this fills it."""
         return self.allocator.alloc() << PAGE_SHIFT
+
+    def alloc_frames(self, nframes: int) -> List[int]:
+        """Allocate *nframes* zeroed pages in one call; return their
+        frame numbers — the frames that many :meth:`alloc_page` calls
+        would return, in the same order (zeroed by the same invariant)."""
+        return self.allocator.alloc_run(nframes)
 
     def alloc_contiguous(self, nbytes: int) -> int:
         """Allocate a zeroed, physically contiguous, page-aligned range

@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import enum
 import struct
-from typing import Dict, Iterator, Optional, Tuple
+from bisect import bisect_left
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.hw.memory import PAGE_SHIFT, PAGE_SIZE, PhysicalMemory
 
@@ -19,6 +20,8 @@ PTE_SIZE = 8
 ENTRIES_PER_TABLE = PAGE_SIZE // PTE_SIZE  # 512
 LEVELS = 3
 VPN_BITS = 9
+_INDEX_MASK = ENTRIES_PER_TABLE - 1
+_L2_SHIFT = PAGE_SHIFT + VPN_BITS  # VA bits above one L2 table's span
 
 
 class PagePerm(enum.IntFlag):
@@ -117,6 +120,95 @@ class PageTable:
         )
         self._write_pte(l2, i2, pte)
         self.mapped_pages += 1
+
+    def map_fresh(self, vas: List[int], perm: PagePerm,
+                  contiguous: bool = False) -> None:
+        """Back each page VA in *vas* (ascending, page-aligned) with a
+        fresh zeroed frame and map it with *perm* — all or nothing.
+
+        Every page is checked first: if one is already mapped, this
+        raises ``ValueError`` before a frame is allocated.  Frames come
+        in exactly the order a page-by-page ``map(va, alloc_page())``
+        loop takes them: by VA, each page's data frame before the L1/L2
+        table frames it needs.  So the first page under an L2 table not
+        built yet goes through :meth:`map`; every other page under one
+        L2 table is written as a run: one read of the run's PTE span,
+        one allocator call, one store.  PTEs inside the span that are
+        not in *vas* (guard pages) are written back unchanged.  With
+        *contiguous* the frames are one physically contiguous block,
+        allocated after the check and before any table frame.
+        """
+        if not vas:
+            return
+        if vas[0] % PAGE_SIZE:
+            raise ValueError("map requires page-aligned addresses")
+        if perm == PagePerm.NONE:
+            raise ValueError("refusing to map with no permissions")
+        mem = self.mem
+        cache = self._l2_tables
+        # Check every page before touching anything.  One run per L2
+        # table: pages vas[i:j] under table l2 (None: not built yet),
+        # whose PTE span is ptes.
+        runs = []
+        n = len(vas)
+        i = 0
+        while i < n:
+            top = vas[i] >> _L2_SHIFT
+            j = bisect_left(vas, (top + 1) << _L2_SHIFT, i + 1)
+            key = (top >> VPN_BITS & _INDEX_MASK, top & _INDEX_MASK)
+            l2 = cache.get(key)
+            if l2 is None:
+                l2 = self._find_l2(key)
+            ptes = None if l2 is None else self._pte_span(l2, vas, i, j)
+            if ptes is not None and any(ptes):
+                first = vas[i] >> PAGE_SHIFT
+                for va in vas[i:j]:
+                    if ptes[(va >> PAGE_SHIFT) - first] & _PTE_VALID:
+                        raise ValueError(f"va {va:#x} is already mapped")
+            runs.append((i, j, key, l2, ptes))
+            i = j
+        # Map, run by run in VA order.
+        base = mem.alloc_contiguous(n * PAGE_SIZE) if contiguous else -1
+        bits = _PTE_VALID | (int(perm) << _PERM_SHIFT)
+        for i, j, key, l2, ptes in runs:
+            if ptes is None:
+                # The first page builds the tables, after its data frame.
+                self.map(vas[i], mem.alloc_page() if base < 0
+                         else base + i * PAGE_SIZE, perm)
+                i += 1
+                if i == j:
+                    continue
+                l2 = cache[key]
+                ptes = self._pte_span(l2, vas, i, j)
+            if base < 0:
+                frames = mem.alloc_frames(j - i)
+            else:
+                frames = range((base >> PAGE_SHIFT) + i,
+                               (base >> PAGE_SHIFT) + j)
+            first = vas[i] >> PAGE_SHIFT
+            for va, frame in zip(vas[i:j], frames):
+                ptes[(va >> PAGE_SHIFT) - first] = bits | frame << _PPN_SHIFT
+            mem.write(l2 + (first & _INDEX_MASK) * PTE_SIZE,
+                      struct.pack("<%dQ" % len(ptes), *ptes))
+            self.mapped_pages += j - i
+
+    def _find_l2(self, key: Tuple[int, int]) -> Optional[int]:
+        """Walk to the L2 table for *key* without building one; cache
+        and return its pa, or None when it does not exist."""
+        l1 = self._next_level(self.root_pa, key[0], create=False)
+        l2 = -1 if l1 == -1 else self._next_level(l1, key[1], create=False)
+        if l2 == -1:
+            return None
+        self._l2_tables[key] = l2
+        return l2
+
+    def _pte_span(self, l2: int, vas: List[int], i: int, j: int) -> List[int]:
+        """The PTEs of table *l2* from ``vas[i]``'s slot to
+        ``vas[j - 1]``'s, in one read."""
+        lo = vas[i] >> PAGE_SHIFT & _INDEX_MASK
+        span = (vas[j - 1] >> PAGE_SHIFT & _INDEX_MASK) + 1 - lo
+        return list(struct.unpack(
+            "<%dQ" % span, self.mem.read(l2 + lo * PTE_SIZE, span * PTE_SIZE)))
 
     def map_range(self, va: int, pa: int, nbytes: int, perm: PagePerm) -> None:
         for off in range(0, _round_up(nbytes), PAGE_SIZE):
@@ -218,18 +310,35 @@ class AddressSpace:
 
     def mmap(self, nbytes: int, perm: PagePerm = PagePerm.RW,
              va: Optional[int] = None, contiguous: bool = False) -> int:
-        """Allocate and map *nbytes* of anonymous memory; return the VA."""
+        """Allocate and map *nbytes* of anonymous memory; return the VA.
+
+        Without *va* the region goes at the VA cursor, followed by a
+        guard page.  All or nothing: if a page of the range is already
+        mapped, ``ValueError`` is raised before any frame is allocated
+        or the cursor moves."""
         size = _round_up(nbytes)
+        start = self._va_cursor if va is None else va
+        self.page_table.map_fresh(list(range(start, start + size, PAGE_SIZE)),
+                                  perm, contiguous)
         if va is None:
-            va = self._va_cursor
-            self._va_cursor += size + PAGE_SIZE  # guard page
-        if contiguous:
-            pa = self.mem.alloc_contiguous(size)
-            self.page_table.map_range(va, pa, size, perm)
-        else:
-            for off in range(0, size, PAGE_SIZE):
-                self.page_table.map(va + off, self.mem.alloc_page(), perm)
-        return va
+            self._va_cursor = start + size + PAGE_SIZE  # guard page
+        return start
+
+    def mmap_many(self, nbytes: int, count: int,
+                  perm: PagePerm = PagePerm.RW) -> List[int]:
+        """*count* cursor ``mmap(nbytes, perm)`` calls in one: the same
+        VAs, guard pages and frames, with one page-table call (§4.2's
+        library pre-creates a server's context stacks this way)."""
+        size = _round_up(nbytes)
+        stride = size + PAGE_SIZE                    # guard page
+        va = self._va_cursor
+        end = va + max(count, 0) * stride
+        vas: List[int] = []
+        for start in range(va, end, stride):
+            vas.extend(range(start, start + size, PAGE_SIZE))
+        self.page_table.map_fresh(vas, perm)
+        self._va_cursor = end
+        return list(range(va, end, stride))
 
     def translate(self, va: int) -> int:
         """Software translation of one byte address (no timing)."""

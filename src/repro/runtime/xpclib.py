@@ -136,11 +136,10 @@ class XPCService:
         self.credits_per_caller = credits_per_caller
         self._credits: Dict[object, int] = {}
         # Pre-create the contexts, as the paper's library does (§4.2).
-        aspace = server_thread.process.aspace
-        self.contexts: List[XPCContext] = [
-            XPCContext(i, aspace.mmap(16 * 1024))
-            for i in range(max_contexts)
-        ]
+        stacks = server_thread.process.aspace.mmap_many(16 * 1024,
+                                                        max_contexts)
+        self.contexts: List[XPCContext] = list(
+            map(XPCContext, range(max_contexts), stacks))
         self.entry = kernel.register_xentry(
             core, server_thread, self._trampoline, max_contexts
         )

@@ -10,7 +10,7 @@ index in that table.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, Dict, List, Optional
 
 from repro.hw.paging import AddressSpace
 from repro.xpc.errors import InvalidXEntryError
@@ -45,28 +45,35 @@ class XEntryTable:
     """The global x-entry table.
 
     The kernel allocates it at boot and sets ``x-entry-table-size``
-    (§4.1); the XPC engine reads it on every ``xcall``.
+    (§4.1); the XPC engine reads it on every ``xcall``.  Only occupied
+    slots are stored: a fresh id comes from a counter that climbs from
+    1 (slot 0 is reserved: the prefetch encoding, xcall with -ID, §4.1,
+    cannot express entry 0), and removed ids are handed out again
+    first, last removed first.
     """
 
     def __init__(self, size: int = DEFAULT_TABLE_ENTRIES) -> None:
         if size <= 1:
             raise ValueError("x-entry-table needs at least two slots")
         self.size = size
-        self._entries: list[Optional[XEntry]] = [None] * size
-        # Slot 0 is reserved: the prefetch encoding (xcall with -ID,
-        # §4.1) cannot express entry 0.
-        self._free = list(range(size - 1, 0, -1))
+        self._entries: Dict[int, XEntry] = {}
+        self._next_id = 1
+        self._freed: List[int] = []
 
     def register(self, aspace: AddressSpace, handler: Callable,
                  handler_thread: object, max_contexts: int = 1,
                  owner_process: object = None,
                  callee_state: object = None) -> XEntry:
         """Allocate a slot and install a new, valid x-entry."""
-        if not self._free:
+        if not self._freed and self._next_id >= self.size:
             raise InvalidXEntryError(-1, "x-entry table is full")
         if max_contexts <= 0:
             raise ValueError("max_contexts must be positive")
-        entry_id = self._free.pop()
+        if self._freed:
+            entry_id = self._freed.pop()
+        else:
+            entry_id = self._next_id
+            self._next_id += 1
         entry = XEntry(
             entry_id=entry_id, aspace=aspace, handler=handler,
             handler_thread=handler_thread, max_contexts=max_contexts,
@@ -77,28 +84,28 @@ class XEntryTable:
 
     def remove(self, entry_id: int) -> None:
         """Invalidate and free a slot."""
-        entry = self._entries[entry_id] if 0 <= entry_id < self.size else None
+        entry = self._entries.pop(entry_id, None)
         if entry is None:
             raise InvalidXEntryError(entry_id, "remove of unregistered entry")
         entry.valid = False
-        self._entries[entry_id] = None
-        self._free.append(entry_id)
+        self._freed.append(entry_id)
 
     def load(self, entry_id: int) -> XEntry:
         """Hardware load: fetch and validity-check an entry."""
         if not 0 <= entry_id < self.size:
             raise InvalidXEntryError(entry_id, "x-entry id out of table range")
-        entry = self._entries[entry_id]
+        try:
+            entry = self._entries[entry_id]
+        except KeyError:
+            entry = None
         if entry is None or not entry.valid:
             raise InvalidXEntryError(entry_id)
         return entry
 
     def peek(self, entry_id: int) -> Optional[XEntry]:
         """Software peek without validity semantics (kernel bookkeeping)."""
-        if not 0 <= entry_id < self.size:
-            return None
-        return self._entries[entry_id]
+        return self._entries.get(entry_id)
 
     @property
     def registered(self) -> int:
-        return (self.size - 1) - len(self._free)
+        return len(self._entries)

@@ -16,7 +16,7 @@ ownership down the call chain and ``xret`` moves it back.
 
 from __future__ import annotations
 
-from typing import List, NamedTuple, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from repro.hw.paging import PagePerm
 from repro.xpc.errors import InvalidSegMaskError, SwapSegError
@@ -135,12 +135,13 @@ class SegList:
 
     ``swapseg #i`` atomically exchanges the current seg-reg with slot *i*;
     swapping in an empty slot parks the current segment and leaves seg-reg
-    invalid (the paper's way to invalidate seg-reg).
+    invalid (the paper's way to invalidate seg-reg).  Only occupied
+    slots are stored.
     """
 
     def __init__(self, slots: int = SEG_LIST_SLOTS) -> None:
         self.slots = slots
-        self._entries: List[Optional[SegReg]] = [None] * slots
+        self._entries: Dict[int, SegReg] = {}
 
     def store(self, index: int, seg: SegReg) -> None:
         """Kernel: park a window in slot *index*."""
@@ -149,28 +150,35 @@ class SegList:
 
     def peek(self, index: int) -> Optional[SegReg]:
         self._check_index(index)
-        return self._entries[index]
+        return self._entries.get(index)
 
     def swap(self, index: int, current: SegReg) -> SegReg:
         """Hardware ``swapseg``: exchange slot *index* with *current*."""
         self._check_index(index)
-        incoming = self._entries[index]
-        self._entries[index] = (current if current.segment is not None
-                                and current.length > 0 else None)
+        entries = self._entries
+        incoming = entries[index] if index in entries else None
+        if current.segment is not None and current.length > 0:
+            entries[index] = current
+        elif index in entries:
+            del entries[index]
         return incoming if incoming is not None else SEG_INVALID
 
     def segments(self) -> List[Tuple[int, SegReg]]:
-        """The parked windows as ``(slot, window)`` pairs (kernel
-        revocation, §4.4; the invariant catalogue)."""
+        """The parked windows as ``(slot, window)`` pairs in slot order
+        (kernel revocation, §4.4; the invariant catalogue)."""
         entries = self._entries
-        if entries.count(None) == self.slots:   # empty: no Python loop
+        if not entries:
             return []
-        return [(i, entry) for i, entry in enumerate(entries)
-                if entry is not None and entry.length > 0]
+        out = []
+        for slot in sorted(entries):
+            entry = entries[slot]
+            if entry is not None and entry.length > 0:
+                out.append((slot, entry))
+        return out
 
     def drop(self, index: int) -> None:
         self._check_index(index)
-        self._entries[index] = None
+        self._entries.pop(index, None)
 
     def _check_index(self, index: int) -> None:
         if not 0 <= index < self.slots:

@@ -69,6 +69,34 @@ class TestFrameAllocator:
         with pytest.raises(OutOfMemoryError):
             alloc.alloc()
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 6, 9, 12])
+    def test_run_is_what_successive_allocs_return(self, n):
+        twins = []
+        for _ in range(2):
+            alloc = FrameAllocator(32)
+            frames = [alloc.alloc() for _ in range(12)]
+            for index in (1, 3, 4, 7, 8, 9):   # extents of 1, 2 and 3
+                alloc.free(frames[index])
+            twins.append(alloc)
+        run, one_by_one = twins
+        assert run.alloc_run(n) == [one_by_one.alloc() for _ in range(n)]
+        assert run._extents == one_by_one._extents
+        assert run.allocated == one_by_one.allocated
+
+    def test_run_is_all_or_nothing(self):
+        alloc = FrameAllocator(8)
+        held = [alloc.alloc() for _ in range(6)]
+        alloc.free(held[2])
+        extents = [list(e) for e in alloc._extents]
+        with pytest.raises(OutOfMemoryError):
+            alloc.alloc_run(4)
+        assert alloc._extents == extents
+        assert alloc.allocated == 5
+        assert alloc.alloc_run(3) == [held[2], 6, 7]
+        assert alloc._extents == []
+        with pytest.raises(ValueError):
+            alloc.alloc_run(0)
+
     def test_free_frames_accounting(self):
         alloc = FrameAllocator(10)
         assert alloc.free_frames == 10

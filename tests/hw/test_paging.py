@@ -137,3 +137,53 @@ class TestAddressSpace:
         b.write(va_b, b"BBBB")
         assert a.read(va_a, 4) == b"AAAA"
         assert b.read(va_b, 4) == b"BBBB"
+
+
+class TestMmapAllOrNothing:
+    """A refused ``mmap`` leaves memory, page table and VA cursor as they
+    were: the range is checked before a frame is allocated."""
+
+    @staticmethod
+    def _state(aspace):
+        mem = aspace.mem
+        return ([list(e) for e in mem.allocator._extents],
+                mem.allocator.allocated, aspace.page_table.mapped_pages,
+                aspace._va_cursor, sorted(mem.snap_page_table().items()))
+
+    @pytest.mark.parametrize("contiguous", [False, True])
+    def test_taken_page_in_the_middle(self, mem, contiguous):
+        aspace = AddressSpace(mem)
+        base = aspace.mmap(PAGE_SIZE) + 16 * PAGE_SIZE
+        taken = aspace.mmap(PAGE_SIZE, va=base + 2 * PAGE_SIZE)
+        aspace.write(taken, b"kept")
+        before = self._state(aspace)
+        with pytest.raises(ValueError, match="already mapped"):
+            aspace.mmap(4 * PAGE_SIZE, va=base, contiguous=contiguous)
+        assert self._state(aspace) == before
+        for page in (0, 1, 3):
+            assert aspace.page_table.lookup(base + page * PAGE_SIZE) is None
+        assert aspace.read(taken, 4) == b"kept"
+        # The free pages of the range are still mappable.
+        aspace.mmap(2 * PAGE_SIZE, va=base)
+        aspace.mmap(PAGE_SIZE, va=base + 3 * PAGE_SIZE)
+
+    def test_taken_page_past_an_l2_boundary(self, mem):
+        aspace = AddressSpace(mem)
+        l2_span = 512 * PAGE_SIZE
+        base = aspace.mmap(PAGE_SIZE) + l2_span - 2 * PAGE_SIZE
+        base -= base % PAGE_SIZE
+        aspace.mmap(PAGE_SIZE, va=base + 3 * PAGE_SIZE)
+        before = self._state(aspace)
+        with pytest.raises(ValueError):
+            aspace.mmap(5 * PAGE_SIZE, va=base)
+        assert self._state(aspace) == before
+
+    def test_refused_cursor_mapping_keeps_the_cursor(self, mem):
+        aspace = AddressSpace(mem)
+        cursor = aspace._va_cursor
+        aspace.mmap(PAGE_SIZE, va=cursor + PAGE_SIZE)
+        before = self._state(aspace)
+        with pytest.raises(ValueError):
+            aspace.mmap(2 * PAGE_SIZE)
+        assert self._state(aspace) == before
+        assert aspace.mmap(PAGE_SIZE) == cursor

@@ -132,6 +132,61 @@ class TestSegList:
         assert seg_list.peek(1) is None
 
 
+class TestSegListSlots:
+    """Slot semantics pinned independently of how the slots are stored."""
+
+    def test_swap_into_empty_slot_returns_the_invalid_value(self):
+        seg_list = SegList(8)
+        assert seg_list.swap(5, SEG_INVALID) is SEG_INVALID
+        assert seg_list.peek(5) is None
+        assert seg_list.segments() == []
+
+    def test_zero_length_current_is_not_parked(self):
+        seg_list = SegList(8)
+        seg = make_seg()
+        empty = SegReg(seg, seg.va_base, seg.pa_base, 0, seg.perm)
+        assert seg_list.swap(1, empty) is SEG_INVALID
+        assert seg_list.peek(1) is None
+        parked = SegReg.for_segment(seg)
+        seg_list.store(1, parked)
+        assert seg_list.swap(1, empty) == parked
+        assert seg_list.peek(1) is None
+
+    def test_stored_zero_length_window_is_kept_but_not_listed(self):
+        seg_list = SegList(8)
+        seg = make_seg()
+        empty = SegReg(seg, seg.va_base, seg.pa_base, 0, seg.perm)
+        seg_list.store(3, empty)
+        assert seg_list.peek(3) == empty
+        assert seg_list.segments() == []
+
+    def test_segments_come_back_in_slot_order(self):
+        seg_list = SegList(8)
+        windows = {slot: SegReg.for_segment(
+            make_seg(va=0x7000_0000_0000 + slot * 0x10_0000))
+            for slot in (6, 0, 3, 7)}
+        for slot in (6, 0, 3, 7):
+            seg_list.store(slot, windows[slot])
+        seg_list.drop(3)
+        assert seg_list.segments() == [
+            (0, windows[0]), (6, windows[6]), (7, windows[7])]
+        seg_list.swap(2, windows[3])
+        assert [slot for slot, _ in seg_list.segments()] == [0, 2, 6, 7]
+
+    def test_out_of_range_index_raises_on_every_operation(self):
+        seg_list = SegList(4)
+        window = SegReg.for_segment(make_seg())
+        for bad in (-1, 4, 128):
+            for call in (lambda: seg_list.store(bad, window),
+                         lambda: seg_list.peek(bad),
+                         lambda: seg_list.swap(bad, window),
+                         lambda: seg_list.drop(bad)):
+                with pytest.raises(SwapSegError) as info:
+                    call()
+                assert info.value.index == bad
+        assert seg_list.segments() == []
+
+
 class TestSegIdScoping:
     """Regression: segment IDs are kernel-scoped, not process-global.
 
