@@ -9,6 +9,7 @@ fence: a mechanism whose cycle charging drifts shows up here even when
 its outcomes still agree with the oracle.
 """
 
+import gc
 import os
 import time
 
@@ -81,10 +82,14 @@ def test_fastcore_speedup(results):
     _reference_executor().run(programs[0])
     FastCoreExecutor().run(programs[0])
 
+    # Collect before each timed loop, so neither loop pays for the
+    # garbage earlier benchmarks in the session left behind.
+    gc.collect()
     t0 = time.perf_counter()
     ref_reports = [_reference_executor().run(p) for p in programs]
     ref_wall = time.perf_counter() - t0
 
+    gc.collect()
     t0 = time.perf_counter()
     fast_reports = [FastCoreExecutor().run(p) for p in programs]
     fast_wall = time.perf_counter() - t0

@@ -31,7 +31,7 @@ to the restarted generation and unfinished submissions are re-driven
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 import repro.obs as obs
 from repro.hw.cpu import Core
@@ -78,8 +78,7 @@ class _WorkerFactory:
         return RingService(
             kernel, core, thread, pool.handler, name=self.service_name,
             max_contexts=pool.max_contexts, policy=pool.exhaustion,
-            partial_context=pool.partial_context,
-            serve_context=pool.serve_context)
+            partial_context=pool.partial_context)
 
 
 class _PoolCompletion:
@@ -110,7 +109,6 @@ class WorkerPool:
                  exhaustion: ExhaustionPolicy = ExhaustionPolicy.FAIL,
                  admission: Optional[AdmissionController] = None,
                  restart_policy: Optional[RestartPolicy] = None,
-                 serve_context: Optional[Callable] = None,
                  slo=None) -> None:
         if policy not in POLICIES:
             raise ValueError(f"unknown pool policy {policy!r} "
@@ -130,7 +128,6 @@ class WorkerPool:
         self.max_contexts = max_contexts
         self.partial_context = partial_context
         self.exhaustion = exhaustion
-        self.serve_context = serve_context
         self.client_process = kernel.create_process(f"{name}-clients")
         self.workers: List[_Worker] = []
         self.submitted = 0

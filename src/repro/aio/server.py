@@ -22,7 +22,7 @@ restart path re-dispatches the rest.
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Tuple
+from typing import Optional
 
 import repro.faults as faults
 import repro.obs as obs
@@ -48,18 +48,12 @@ class RingService:
                  max_contexts: int = 4,
                  policy: ExhaustionPolicy = ExhaustionPolicy.FAIL,
                  partial_context: bool = False,
-                 max_drain: Optional[int] = None,
-                 serve_context: Optional[Callable] = None) -> None:
+                 max_drain: Optional[int] = None) -> None:
         self.kernel = kernel
         self.handler = handler
         self.name = name
         self.server_thread = server_thread
         self.max_drain = max_drain
-        #: ``serve_context(core)`` → context manager entered around each
-        #: request, e.g. ``Transport.serving`` so handlers shared with a
-        #: synchronous transport charge — and call onward from — the
-        #: worker's core instead of the transport's home core.
-        self.serve_context = serve_context
         self.mem = kernel.machine.memory
         self.drained = 0
         self.failed = 0
@@ -109,11 +103,7 @@ class RingService:
         payload = RelayPayload(self.mem, ring.payload_window(sqe),
                                sqe.data_len, base_offset=sqe.data_off)
         try:
-            if self.serve_context is not None:
-                with self.serve_context(core):
-                    reply_meta, reply = self.handler(meta, payload)
-            else:
-                reply_meta, reply = self.handler(meta, payload)
+            reply_meta, reply = self.handler(meta, payload)
         except faults.ProcessCrashFault:
             raise
         except Exception as exc:  # noqa: BLE001 - contained per-request
@@ -124,15 +114,8 @@ class RingService:
                           (type(exc).__name__, str(exc)[:120]),
                           sqe.data_off, 0)
             return
-        if reply is None:
-            reply_len = 0
-        elif isinstance(reply, int):
-            reply_len = reply            # already written in place
-        else:
-            payload.write(reply, 0)      # reply lands in the arena slot
-            reply_len = len(reply)
         ring.push_cqe(core, sqe.seq, SQE_OK, reply_meta,
-                      sqe.data_off, reply_len)
+                      sqe.data_off, payload.put_reply(reply))
 
     def _die(self, act: dict) -> None:
         """Injected worker death mid-batch (mirrors the xpclib crash

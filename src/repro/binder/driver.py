@@ -52,9 +52,6 @@ class BinderDriver:
         self._nodes: Dict[int, BinderNode] = {}
         self._next_handle = 1
         self.transactions = 0
-        #: The core a transaction is currently executing on (set by
-        #: transact so services can charge their own work).
-        self.current_core: Optional[Core] = None
         #: Asynchronous (oneway) transactions queued per node.
         self._async_queues: Dict[int, list] = {}
         #: Death recipients: node handle -> list of callbacks.
@@ -88,7 +85,6 @@ class BinderDriver:
         p = self.params
         node = self.node(handle)
         self.transactions += 1
-        self.current_core = core
 
         # --- client -> kernel ------------------------------------------
         core.trap(TrapCause.SYSCALL)
@@ -107,7 +103,7 @@ class BinderDriver:
         request.fd_map = fd_map  # translated fds for the receiver
 
         # --- server handler ---------------------------------------------
-        reply = node.on_transact(code, request) or Parcel()
+        reply = self._dispatch(core, node, code, request) or Parcel()
 
         # --- reply path (same shape back) --------------------------------
         core.trap(TrapCause.SYSCALL)
@@ -161,7 +157,6 @@ class BinderDriver:
         node = self.node(handle)
         queue = self._async_queues.get(handle, [])
         delivered = 0
-        self.current_core = core
         while queue:
             code, raw, fd_map = queue.pop(0)
             core.tick(p.binder_wakeup)
@@ -170,9 +165,21 @@ class BinderDriver:
             core.tick(p.copy_to_user_setup + p.copy_cycles(len(raw)))
             request = Parcel(raw)
             request.fd_map = fd_map
-            node.on_transact(code, request)
+            self._dispatch(core, node, code, request)
             delivered += 1
         return delivered
+
+    def _dispatch(self, core: Core, node: BinderNode, code: int,
+                  request: Parcel) -> Optional[Parcel]:
+        """Run ``onTransact`` on *core*, recording it as the kernel's
+        handler core so the service charges its own work there."""
+        kernel = self.kernel
+        outer_core = kernel.handler_core
+        kernel.handler_core = core
+        try:
+            return node.on_transact(code, request)
+        finally:
+            kernel.handler_core = outer_core
 
     def pending_async(self, handle: int) -> int:
         return len(self._async_queues.get(handle, []))

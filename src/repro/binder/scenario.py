@@ -43,7 +43,7 @@ class WindowManagerService(BinderService):
         self.last_checksum = 0
 
     def on_transact(self, code: int, data: Parcel) -> Parcel:
-        core = self.framework.driver.current_core
+        core = self.framework.driver.kernel.handler_core
         if code == CODE_DRAW_BUFFER:
             surface = data.read_blob()
             draw_rate = DRAW_PER_BYTE_CACHED

@@ -79,14 +79,12 @@ class XPCBinderFramework(BinderFramework):
     def add_service(self, core: Core, service: BinderService) -> int:
         handle = super().add_service(core, service)
         mem = self.driver.kernel.machine.memory
-        driver = self.driver
 
         def xpc_handler(call):
             used, code, fd_map = call.args
             raw = mem.read(call.window.pa_base, used) if used else b""
             request = Parcel(raw)
             request.fd_map = fd_map
-            driver.current_core = call.core
             reply = service.on_transact(code, request) or Parcel()
             raw_reply = reply.marshal()
             if len(raw_reply) > call.window.length:
@@ -136,7 +134,6 @@ class XPCBinderFramework(BinderFramework):
             raise KernelError(f"handle {handle} has no x-entry")
         node = driver.node(handle)
         driver.transactions += 1
-        driver.current_core = core
         driver.kernel.run_thread(core, client)
         core.tick(p.binder_xpc_framework)
 

@@ -115,7 +115,3 @@ class ShardedNameServer:
 
     def breaker(self, name: str, node: Node):
         return node.nameserver.breaker(name)
-
-    def shard_map(self, keys) -> Dict[object, int]:
-        """key -> home node id (diagnostic snapshot for invariants)."""
-        return {key: self.ring.owner(key) for key in keys}

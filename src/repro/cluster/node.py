@@ -93,10 +93,6 @@ class Node:
             else self.machine.cores
         if workers is not None:
             cores = cores[:workers]
-        if hasattr(handler, "serving"):
-            # Shard handlers charge app CPU on the draining core via
-            # the FS/net servers' serve_context idiom.
-            pool_kwargs.setdefault("serve_context", handler.serving)
         pool = WorkerPool(self.kernel, handler, cores,
                           name=f"{self.name}.{name}", **pool_kwargs)
         if hasattr(handler, "on_pool"):

@@ -68,9 +68,6 @@ class RpcLink:
     def heal(self, a: int, b: int) -> None:
         self._cuts.discard(frozenset((a, b)))
 
-    def heal_all(self) -> None:
-        self._cuts.clear()
-
     def severed(self, a: int, b: int) -> bool:
         return frozenset((a, b)) in self._cuts
 

@@ -8,11 +8,9 @@ owns for its slice of the key space — packaged as a transport-style
 ``node -> handler``).
 
 Handlers charge their CPU on the worker core actually draining them:
-:class:`ShardHandler` exposes a ``serving(core)`` context manager in
-the shape :class:`~repro.aio.server.RingService` expects
-(``serve_context``), the same idiom the FS/net servers use to rebind
-their transport's charging core during a drain.  ``Node.serve`` wires
-it automatically.
+the node kernel's ``handler_core``, which XPC handler dispatch records
+for every drain, the same core the FS/net servers' transports resolve
+``current_core`` to.
 
 Three app families, mirroring the paper's §5.4 evaluation suite:
 
@@ -29,7 +27,6 @@ Three app families, mirroring the paper's §5.4 evaluation suite:
 from __future__ import annotations
 
 import random
-from contextlib import contextmanager
 from typing import Optional, Tuple
 
 from repro.apps.httpd import build_request, build_response, parse_request
@@ -54,27 +51,18 @@ class ShardHandler:
     """Base shard: a pool handler that charges the draining core.
 
     Subclasses implement :meth:`handle`; :meth:`_tick` inside it
-    charges the core currently serving (rebound per request by the
-    ``serving`` context manager the pool enters around each SQE).
+    charges the core currently serving (the node kernel's
+    ``handler_core``; the frontend core outside a handler).
     """
 
     def __init__(self, node) -> None:
         self.node = node
-        self._core = None
         self.requests = 0
 
-    @contextmanager
-    def serving(self, core):
-        prev = self._core
-        self._core = core
-        try:
-            yield
-        finally:
-            self._core = prev
-
     def _tick(self, cycles: int) -> None:
-        core = self._core if self._core is not None \
-            else self.node.frontend_core
+        core = self.node.kernel.handler_core
+        if core is None:
+            core = self.node.frontend_core
         core.tick(int(cycles))
 
     def __call__(self, meta: tuple, payload: Payload):
@@ -177,9 +165,9 @@ class SqliteShard(ShardHandler):
     device + FS server pair, journaled :class:`Database` — on the
     node's own kernel, then serves the KV wire format against a single
     table.  Statement costs (parse/plan/codec) and every page I/O are
-    charged by the real sqlite/FS code paths; the ``serving`` context
-    is the *transport's*, so nested FS calls issue from (and charge)
-    the draining worker core.
+    charged by the real sqlite/FS code paths; nested FS calls issue
+    from (and charge) the draining worker core, which the transport
+    reads from the node kernel's ``handler_core``.
     """
 
     def __init__(self, node, table: str = "usertable",
@@ -198,8 +186,6 @@ class SqliteShard(ShardHandler):
         self.reads = 0
         self.updates = 0
         self.misses = 0
-        # Nested FS calls must charge the draining worker's core.
-        self.serving = self.transport.serving
 
     def on_pool(self, pool) -> None:
         """Grant every worker thread (and restarted generations) the

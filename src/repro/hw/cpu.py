@@ -165,11 +165,6 @@ class Core:
         dst_as.write(dst_va, data)
         self.tick(self.params.copy_cycles(n))
 
-    def memcpy_phys(self, dst_pa: int, src_pa: int, n: int) -> None:
-        """Timed physical copy (DMA-less kernel memcpy)."""
-        self.mem.copy(dst_pa, src_pa, n)
-        self.tick(self.params.copy_cycles(n))
-
     # ------------------------------------------------------------------
     # Traps
     # ------------------------------------------------------------------

@@ -37,6 +37,11 @@ class PagePerm(enum.IntFlag):
     RWX = R | W | X
 
 
+#: :meth:`PageTable.map_pages` bases: a fresh frame per page, or one
+#: fresh physically contiguous block.
+FRESH = -1
+FRESH_CONTIGUOUS = -2
+
 _PTE_VALID = 1 << 0
 _PERM_SHIFT = 1
 _PPN_SHIFT = 10
@@ -121,26 +126,29 @@ class PageTable:
         self._write_pte(l2, i2, pte)
         self.mapped_pages += 1
 
-    def map_fresh(self, vas: List[int], perm: PagePerm,
-                  contiguous: bool = False) -> None:
-        """Back each page VA in *vas* (ascending, page-aligned) with a
-        fresh zeroed frame and map it with *perm* — all or nothing.
+    def map_pages(self, vas: List[int], perm: PagePerm,
+                  base: int = FRESH) -> None:
+        """Map each page VA in *vas* (ascending, page-aligned) with
+        *perm* — all or nothing.  ``base=FRESH`` backs each page with a
+        fresh zeroed frame, ``FRESH_CONTIGUOUS`` with one physically
+        contiguous fresh block, and a page-aligned physical address
+        maps ``vas[i]`` onto ``base + i * PAGE_SIZE``.
 
         Every page is checked first: if one is already mapped, this
-        raises ``ValueError`` before a frame is allocated.  Frames come
-        in exactly the order a page-by-page ``map(va, alloc_page())``
-        loop takes them: by VA, each page's data frame before the L1/L2
-        table frames it needs.  So the first page under an L2 table not
-        built yet goes through :meth:`map`; every other page under one
-        L2 table is written as a run: one read of the run's PTE span,
-        one allocator call, one store.  PTEs inside the span that are
-        not in *vas* (guard pages) are written back unchanged.  With
-        *contiguous* the frames are one physically contiguous block,
-        allocated after the check and before any table frame.
+        raises ``ValueError`` before a frame is allocated or a PTE is
+        written.  Frames come in exactly the order a page-by-page
+        ``map(va, alloc_page())`` loop takes them: by VA, each page's
+        data frame before the L1/L2 table frames it needs.  So the first
+        page under an L2 table not built yet goes through :meth:`map`;
+        every other page under one L2 table is written as a run: one
+        read of the run's PTE span, one allocator call, one store.  PTEs
+        inside the span that are not in *vas* (guard pages) are written
+        back unchanged.  A ``FRESH_CONTIGUOUS`` block is allocated after
+        the check and before any table frame.
         """
         if not vas:
             return
-        if vas[0] % PAGE_SIZE:
+        if vas[0] % PAGE_SIZE or base > 0 and base % PAGE_SIZE:
             raise ValueError("map requires page-aligned addresses")
         if perm == PagePerm.NONE:
             raise ValueError("refusing to map with no permissions")
@@ -168,7 +176,8 @@ class PageTable:
             runs.append((i, j, key, l2, ptes))
             i = j
         # Map, run by run in VA order.
-        base = mem.alloc_contiguous(n * PAGE_SIZE) if contiguous else -1
+        if base == FRESH_CONTIGUOUS:
+            base = mem.alloc_contiguous(n * PAGE_SIZE)
         bits = _PTE_VALID | (int(perm) << _PERM_SHIFT)
         for i, j, key, l2, ptes in runs:
             if ptes is None:
@@ -192,6 +201,12 @@ class PageTable:
                       struct.pack("<%dQ" % len(ptes), *ptes))
             self.mapped_pages += j - i
 
+    def map_range(self, va: int, pa: int, nbytes: int, perm: PagePerm) -> None:
+        """Map *nbytes* at *va* onto the physically contiguous frames
+        from *pa*, all or nothing (see :meth:`map_pages`)."""
+        self.map_pages(list(range(va, va + _round_up(nbytes), PAGE_SIZE)),
+                       perm, pa)
+
     def _find_l2(self, key: Tuple[int, int]) -> Optional[int]:
         """Walk to the L2 table for *key* without building one; cache
         and return its pa, or None when it does not exist."""
@@ -209,10 +224,6 @@ class PageTable:
         span = (vas[j - 1] >> PAGE_SHIFT & _INDEX_MASK) + 1 - lo
         return list(struct.unpack(
             "<%dQ" % span, self.mem.read(l2 + lo * PTE_SIZE, span * PTE_SIZE)))
-
-    def map_range(self, va: int, pa: int, nbytes: int, perm: PagePerm) -> None:
-        for off in range(0, _round_up(nbytes), PAGE_SIZE):
-            self.map(va + off, pa + off, perm)
 
     def unmap(self, va: int) -> int:
         """Remove the mapping for *va*; return the old physical address."""
@@ -318,8 +329,9 @@ class AddressSpace:
         or the cursor moves."""
         size = _round_up(nbytes)
         start = self._va_cursor if va is None else va
-        self.page_table.map_fresh(list(range(start, start + size, PAGE_SIZE)),
-                                  perm, contiguous)
+        self.page_table.map_pages(
+            list(range(start, start + size, PAGE_SIZE)), perm,
+            FRESH_CONTIGUOUS if contiguous else FRESH)
         if va is None:
             self._va_cursor = start + size + PAGE_SIZE  # guard page
         return start
@@ -336,7 +348,7 @@ class AddressSpace:
         vas: List[int] = []
         for start in range(va, end, stride):
             vas.extend(range(start, start + size, PAGE_SIZE))
-        self.page_table.map_fresh(vas, perm)
+        self.page_table.map_pages(vas, perm)
         self._va_cursor = end
         return list(range(va, end, stride))
 

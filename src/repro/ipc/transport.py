@@ -23,7 +23,6 @@ path in seL4.
 from __future__ import annotations
 
 import abc
-from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Tuple
 
@@ -102,6 +101,23 @@ class RelayPayload(Payload):
         self._mem.write(self._window.pa_base + offset, data)
         self._used = max(self._used, offset + len(data))
 
+    def put_reply(self, reply) -> int:
+        """Place a handler's reply and return its byte count: the reply
+        contract of :meth:`Transport.call` (``None`` → no reply, an
+        ``int`` → already written in place, bytes → written at the
+        start of the window).  Inlines :meth:`write` so a bytes reply
+        costs the same calls as writing it."""
+        if reply is None:
+            return 0
+        if isinstance(reply, int):
+            return reply
+        n = len(reply)
+        if n > self._window.length:
+            raise IndexError("write escapes the relay window")
+        self._mem.write(self._window.pa_base, reply)
+        self._used = max(self._used, n)
+        return n
+
     def window_slice(self, offset: int, length: int):
         """Translate a payload-relative range into the ``window_slice``
         coordinates of :meth:`Transport.call` — i.e. offsets within the
@@ -138,7 +154,7 @@ class Transport(abc.ABC):
     #: lint rule and the fingerprint walker both enforce totality, so a
     #: restored transport can never silently miss an attribute.
     __snap_state__ = ("_services", "_next_sid", "call_count",
-                      "bytes_moved", "ipc_cycles", "_serving_core")
+                      "bytes_moved", "ipc_cycles")
 
     def __init__(self) -> None:
         self._services: Dict[int, ServerRegistration] = {}
@@ -149,10 +165,6 @@ class Transport(abc.ABC):
         #: across all calls — handler time excluded.  This is the
         #: numerator of the paper's Figure 1(a) "CPU time spent on IPC".
         self.ipc_cycles = 0
-        #: When a handler is being driven from a core other than the
-        #: transport's home core (a batched ring drain on a worker
-        #: core), this names it; see :meth:`serving`.
-        self._serving_core = None
 
     # -- execution context -------------------------------------------------
     @property
@@ -160,25 +172,17 @@ class Transport(abc.ABC):
         """The core currently executing service code through this
         transport.
 
-        Equal to ``self.core`` on the synchronous path (the migrating
-        thread runs servers on the client's core), but rebound inside a
-        :meth:`serving` block when an aio worker drains a ring on its
-        own core.  Handler logic costs and nested onward calls must use
-        this, not the home core, so batched execution is charged to —
-        and windows resolve against — the core actually doing the work.
+        The kernel's :attr:`~repro.kernel.kernel.BaseKernel.handler_core`
+        inside a handler — the client's core on the synchronous path
+        (the migrating thread runs servers on the caller's core), the
+        worker's core when an aio worker drains a ring — and the home
+        core ``self.core`` outside one.  Handler logic costs and nested
+        onward calls must use this, not the home core, so batched
+        execution is charged to — and windows resolve against — the
+        core actually doing the work.
         """
-        return self._serving_core if self._serving_core is not None \
-            else self.core
-
-    @contextmanager
-    def serving(self, core):
-        """Rebind :attr:`current_core` for the duration of a drain."""
-        prev = self._serving_core
-        self._serving_core = core
-        try:
-            yield
-        finally:
-            self._serving_core = prev
+        core = self.kernel.handler_core
+        return self.core if core is None else core
 
     # -- registration ------------------------------------------------------
     def register(self, name: str, handler: Handler,

@@ -42,14 +42,7 @@ class _RelayHandlerBridge:
         handler_start = call.core.cycles
         reply_meta, reply = self.reg.handler(meta, payload)
         transport._handler_acc += call.core.cycles - handler_start
-        if reply is None:
-            reply_len = 0
-        elif isinstance(reply, int):
-            reply_len = reply           # already written in place
-        else:
-            payload.write(reply, 0)     # reply goes into the segment
-            reply_len = len(reply)
-        return (reply_meta, reply_len)
+        return (reply_meta, payload.put_reply(reply))
 
 
 class XPCTransport(Transport):
@@ -173,12 +166,12 @@ class XPCTransport(Transport):
 
     def _call(self, service: XPCService, meta: tuple, payload: bytes,
               reply_capacity: int, window_slice) -> Tuple[tuple, bytes]:
-        # The core actually executing this call (``current_core``): the
-        # home core on the synchronous path, the *worker's* core when a
-        # handler invoked from a batched ring drain calls onward — its
-        # engine (not the home core's) holds the mid-call state the
-        # nested path needs.
-        core = self._serving_core
+        # The core actually executing this call (``current_core``,
+        # inlined): the home core on the synchronous path, the *worker's*
+        # core when a handler invoked from a batched ring drain calls
+        # onward — its engine (not the home core's) holds the mid-call
+        # state the nested path needs.
+        core = self.kernel.handler_core
         if core is None:
             core = self.core
         engine = core.xpc_engine

@@ -74,6 +74,11 @@ class BaseKernel:
         #: Subsystems (e.g. the Binder driver) that want to know when a
         #: process dies — callables taking the dead Process.
         self.death_hooks: List[Callable] = []
+        #: The core running service code right now: the core whose
+        #: ``xcall`` (or Binder transaction) entered the innermost
+        #: handler, ``None`` outside handlers.  Only handler dispatch
+        #: writes it, saving and restoring it around the handler.
+        self.handler_core: Optional[Core] = None
         if probe.KERNEL:
             probe.kernel(self)
 

@@ -227,19 +227,6 @@ class ConstRef:
         return self.value
 
 
-class ThreadRef:
-    """Callable resolving a supervised service's *current* thread —
-    a grant supplier that tracks restarts (see :class:`ConstRef` for
-    why this is a class)."""
-
-    def __init__(self, supervisor: "ServiceSupervisor", name: str) -> None:
-        self.supervisor = supervisor
-        self.name = name
-
-    def __call__(self):
-        return self.supervisor.thread(self.name)
-
-
 class EntryRef:
     """Callable resolving a supervised service's *current* entry id —
     the batcher-side half of drain-and-restart recovery."""

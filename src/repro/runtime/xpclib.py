@@ -216,6 +216,11 @@ class XPCService:
             span = obs.ACTIVE.spans.begin(
                 core, f"handler:{self.name}", cat="runtime",
                 entry=entry.entry_id)
+        # The migrated thread runs the handler on the calling core
+        # (§5.2); services charge, and call onward from, this core.
+        kernel = self.kernel
+        outer_core = kernel.handler_core
+        kernel.handler_core = core
         try:
             self.calls += 1
             call = XPCCallContext(
@@ -224,6 +229,7 @@ class XPCService:
             )
             result = self.handler(call)
         finally:
+            kernel.handler_core = outer_core
             self._release_context(ctx, caller_id)
             if span is not None and obs.ACTIVE is not None:
                 obs.ACTIVE.spans.end(core, span)

@@ -73,7 +73,6 @@ class FSServer:
         supervisor-restarted generations — is granted the onward
         xcall-cap for the block device, so the zero-copy nested read
         path keeps working from inside a drain."""
-        pool_kwargs.setdefault("serve_context", self.transport.serving)
         pool = WorkerPool(self.transport.kernel, self._handle, cores,
                           name=name, **pool_kwargs)
         blk_sid = self.disk_client.sid

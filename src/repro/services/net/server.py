@@ -46,7 +46,6 @@ class NetServer:
         """Batched front-end over the same socket handler (XPC only);
         worker threads get the loopback device's onward xcall-cap on
         every supervisor generation."""
-        pool_kwargs.setdefault("serve_context", self.transport.serving)
         pool = WorkerPool(self.transport.kernel, self._handle, cores,
                           name=name, **pool_kwargs)
         dev_sid = self.stack.netdev_sid

@@ -9,7 +9,7 @@ finite lattice and monotone transfer functions.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, TypeVar
+from typing import Callable, Dict, TypeVar
 
 from repro.verify.flow.cfg import CFG, ENTRY
 
@@ -52,12 +52,6 @@ def solve_forward(cfg: CFG, entry_fact: T, bottom: T,
     return facts
 
 
-def out_facts(cfg: CFG, in_facts: Dict[int, T],
-              transfer: Callable[[int, T], T]) -> Dict[int, T]:
-    """The *output* fact of every node, given solved input facts."""
-    return {n: transfer(n, in_facts[n]) for n in cfg.nodes}
-
-
 def fixpoint(values: Dict[str, T],
              step: Callable[[Dict[str, T]], Dict[str, T]],
              max_rounds: int = 64) -> Dict[str, T]:
@@ -68,8 +62,3 @@ def fixpoint(values: Dict[str, T],
             return nxt
         values = nxt
     return values
-
-
-def any_reachable(cfg: CFG, start: int, targets: Iterable[int]) -> bool:
-    reach = cfg.reachable_from(start)
-    return any(t in reach for t in targets)

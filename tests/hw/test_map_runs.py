@@ -1,6 +1,6 @@
 """The page table's run writer maps exactly what a page-by-page loop maps.
 
-:meth:`PageTable.map_fresh` (behind :meth:`AddressSpace.mmap` and
+:meth:`PageTable.map_pages` (behind :meth:`AddressSpace.mmap` and
 :meth:`AddressSpace.mmap_many`) writes every run of pages under one L2
 table with one PTE store and takes the run's frames with one allocator
 call.  Each case here runs it on one of two twin memories and the
@@ -46,7 +46,8 @@ def reference_mmap(aspace, nbytes, perm=PagePerm.RW, va=None,
         aspace._va_cursor += size + PAGE_SIZE
     if contiguous:
         pa = aspace.mem.alloc_contiguous(size)
-        aspace.page_table.map_range(va, pa, size, perm)
+        for off in range(0, size, PAGE_SIZE):
+            aspace.page_table.map(va + off, pa + off, perm)
     else:
         for off in range(0, size, PAGE_SIZE):
             aspace.page_table.map(va + off, aspace.mem.alloc_page(), perm)

@@ -66,6 +66,16 @@ class TestPageTable:
         assert mappings[0] == (0x10000, pa, PagePerm.RWX)
         assert mappings[3][0] == 0x10000 + 3 * PAGE_SIZE
 
+    def test_map_range_is_all_or_nothing(self, mem):
+        pt = PageTable(mem)
+        pt.map(0x10000 + 2 * PAGE_SIZE, mem.alloc_page(), PagePerm.RW)
+        pa = mem.alloc_contiguous(4 * PAGE_SIZE)
+        with pytest.raises(ValueError, match="already mapped"):
+            pt.map_range(0x10000, pa, 4 * PAGE_SIZE, PagePerm.RW)
+        assert pt.mapped_pages == 1
+        assert pt.lookup(0x10000) is None
+        assert pt.lookup(0x10000 + PAGE_SIZE) is None
+
     def test_high_virtual_addresses(self, mem):
         pt = PageTable(mem)
         pa = mem.alloc_page()

@@ -44,8 +44,7 @@ def test_nested_swapseg_calls_from_a_drain():
         return (0,) + reply_meta[1:], data
 
     worker_core = machine.cores[2]
-    pool = WorkerPool(kernel, outer, [worker_core], max_batch=64,
-                      serve_context=transport.serving)
+    pool = WorkerPool(kernel, outer, [worker_core], max_batch=64)
     transport.grant_to_thread(
         inner_sid, pool.workers[0].supervisor.thread("aio-w0"))
 
@@ -75,8 +74,7 @@ def test_sync_and_batched_traffic_interleave():
         return ("ok",) + tuple(meta), payload.read()
 
     sid = transport.register("echo", echo, proc, thread)
-    pool = WorkerPool(kernel, echo, [machine.cores[2]], max_batch=4,
-                      serve_context=transport.serving)
+    pool = WorkerPool(kernel, echo, [machine.cores[2]], max_batch=4)
     for round_no in range(3):
         sync_meta, sync_data = transport.call(
             sid, ("s", round_no), b"sync" * 8, reply_capacity=64)
