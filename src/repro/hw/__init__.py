@@ -2,8 +2,8 @@
 
 This package models the machine the XPC engine plugs into — a RocketChip-like
 in-order RISC-V multicore — at functional + cycle-accounting fidelity.  Data
-really lives in a ``bytearray`` physical memory and flows through real page
-tables and a real set-associative TLB; latencies come from
+really lives in a lazily zeroed mmap physical memory and flows through real
+page tables and a real set-associative TLB; latencies come from
 :class:`repro.params.CycleParams`.
 """
 

@@ -1,18 +1,23 @@
 """Physical memory and frame allocation.
 
-The machine's DRAM is a single ``bytearray``.  A bitmap-free free-list frame
-allocator hands out 4 KB frames; relay segments additionally need physically
-*contiguous* ranges (paper §3.3: "a memory region backed with continuous
-physical memory"), served by :meth:`FrameAllocator.alloc_contiguous`.
+The machine's DRAM is a single lazily zeroed anonymous mmap.  A bitmap-free
+free-list frame allocator hands out 4 KB frames; relay segments additionally
+need physically *contiguous* ranges (paper §3.3: "a memory region backed with
+continuous physical memory"), served by :meth:`FrameAllocator.alloc_contiguous`.
+The same page store backs device RAM: the file-system chains' ramdisk
+(:class:`~repro.services.fs.blockdev.RamDisk`) is a :class:`PhysicalMemory`
+of its own with every frame allocated.
 
 Snapshots (:mod:`repro.snap`) deepcopy the whole machine; copying 32–256 MB
 of DRAM per checkpoint would sink record/replay, so :class:`PhysicalMemory`
 implements its own copy-on-write protocol.  A *live* memory deepcopies into
-a *dormant* page table (``_data is None``): only the non-zero pages, and —
-after the first checkpoint — only the pages dirtied since, get re-extracted;
-clean pages are shared (same immutable ``bytes`` objects) with the previous
-checkpoint.  Deepcopying a dormant memory materializes a fresh live
-``bytearray`` — that is what restore does.
+a *dormant* page table (``_data is None``) holding only the non-zero pages.
+The first checkpoint reads only the allocated frames (free frames read
+zero), so it costs in proportion to what the memory holds, not its size;
+later checkpoints re-extract only the pages dirtied since, and clean pages
+are shared (same immutable ``bytes`` objects) with the previous checkpoint.
+Deepcopying a dormant memory materializes a fresh live buffer — that is
+what restore does.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ from __future__ import annotations
 import copy
 import hashlib
 import mmap
-from typing import Dict, List, Optional, Set
+from typing import Dict, Iterator, List, Optional, Set
 
 PAGE_SIZE = 4096
 PAGE_SHIFT = 12
@@ -166,7 +171,8 @@ class PhysicalMemory:
         self._snap_pages: Dict[int, bytes] = {}
         #: Frames written since the last page sync.  ``None`` means no
         #: snapshot was ever taken: tracking is off and writes cost
-        #: nothing extra; the first sync scans every frame once.
+        #: nothing extra; the first sync reads every allocated frame
+        #: once (free frames read zero, so it skips them).
         self._snap_dirty: Optional[Set[int]] = None
 
     # -- raw access (no timing; timing is charged by the Core) ----------
@@ -221,8 +227,8 @@ class PhysicalMemory:
 
     def _sync_pages(self) -> None:
         """Fold dirty frames into the COW page cache (live side only)."""
-        dirty = (range(self.size >> PAGE_SHIFT)
-                 if self._snap_dirty is None else self._snap_dirty)
+        dirty = (self._allocated_frames() if self._snap_dirty is None
+                 else self._snap_dirty)
         data = self._data
         for frame in dirty:
             off = frame << PAGE_SHIFT
@@ -232,6 +238,14 @@ class PhysicalMemory:
             else:
                 self._snap_pages[frame] = page
         self._snap_dirty = set()
+
+    def _allocated_frames(self) -> Iterator[int]:
+        """Every frame not on the allocator's free list, ascending."""
+        frame = 0
+        for start, n in self.allocator._extents:
+            yield from range(frame, start)
+            frame = start + n
+        yield from range(frame, self.allocator.total_frames)
 
     def __deepcopy__(self, memo: dict) -> "PhysicalMemory":
         dup = PhysicalMemory.__new__(PhysicalMemory)

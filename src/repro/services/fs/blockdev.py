@@ -8,6 +8,11 @@ chatter XPC's relay-seg handover eliminates.
 :class:`RamDisk` is the device itself; :class:`BlockServer` exposes it
 over a :class:`~repro.ipc.transport.Transport`; :class:`BlockClient`
 is what the FS server links against.
+
+The ramdisk's storage is device RAM on the machine's page store: a
+:class:`~repro.hw.memory.PhysicalMemory` of its own, so an empty disk
+costs no host memory, snapshots share its clean pages copy-on-write and
+a dormant snapshot holds only the blocks that were written.
 """
 
 from __future__ import annotations
@@ -15,6 +20,7 @@ from __future__ import annotations
 from typing import Optional, Tuple
 
 import repro.faults as faults
+from repro.hw.memory import PAGE_SIZE, PhysicalMemory
 from repro.ipc.transport import Payload, Transport
 
 BSIZE = 4096  # file-system block size (FSCQ's xv6fs uses 4 KB blocks)
@@ -30,14 +36,22 @@ class BlockDeviceError(Exception):
 
 
 class RamDisk:
-    """A volatile block device with optional fault injection."""
+    """A volatile block device with optional fault injection.
+
+    Block *n* lives at byte ``n * block_size`` of the device's RAM, a
+    :class:`~repro.hw.memory.PhysicalMemory` sized to the disk (rounded
+    up to pages) with every frame allocated at construction: written
+    blocks must never sit in frames the page store treats as free,
+    which it assumes read zero."""
 
     def __init__(self, nblocks: int, block_size: int = BSIZE) -> None:
         if nblocks <= 0 or block_size <= 0:
             raise ValueError("ramdisk needs positive geometry")
         self.nblocks = nblocks
         self.block_size = block_size
-        self._data = bytearray(nblocks * block_size)
+        size = -(-nblocks * block_size // PAGE_SIZE) * PAGE_SIZE
+        self.ram = PhysicalMemory(size, reserved_bytes=0)
+        self.ram.alloc_contiguous(size)
         self.reads = 0
         self.writes = 0
         #: Fault injection: device "crashes" after this many more writes
@@ -53,8 +67,7 @@ class RamDisk:
             raise BlockDeviceError(
                 f"injected I/O error reading block {blockno}")
         self.reads += 1
-        off = blockno * self.block_size
-        return bytes(self._data[off:off + self.block_size])
+        return self.ram.read(blockno * self.block_size, self.block_size)
 
     def write(self, blockno: int, data: bytes) -> None:
         self._check(blockno)
@@ -77,8 +90,7 @@ class RamDisk:
                 return
             self.crash_after_writes -= 1
         self.writes += 1
-        off = blockno * self.block_size
-        self._data[off:off + self.block_size] = data
+        self.ram.write(blockno * self.block_size, data)
 
     def _check(self, blockno: int) -> None:
         if not 0 <= blockno < self.nblocks:

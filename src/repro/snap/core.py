@@ -9,9 +9,10 @@ both one ``copy.deepcopy`` pass:
   :class:`~repro.hw.memory.PhysicalMemory` goes *dormant* (drops its
   byte array, keeps a content-addressed page table shared
   copy-on-write with earlier snapshots of the same memory, so a
-  checkpoint costs only the pages dirtied since the last one);
+  checkpoint costs only the pages dirtied since the last one, and
+  the first only the allocated frames);
 * ``restore(snap)`` — deepcopy the dormant graph back into a fresh,
-  fully live world (memory rematerialises its bytearray) and reinstate
+  fully live world (memory rematerialises its DRAM buffer) and reinstate
   the global counters (koid/asid allocators) to their captured values.
 
 Restore never mutates the snapshot: one snapshot can seed any number of

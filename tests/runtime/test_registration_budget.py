@@ -11,6 +11,7 @@ or ``enum.Flag`` arithmetic, whose call counts differ between the
 supported interpreters.
 """
 
+import gc
 import sys
 
 from repro.hw.machine import Machine
@@ -44,12 +45,17 @@ def _count_register(max_contexts: int) -> int:
         if event == "call":
             calls += 1
 
+    # A collection inside the window would count the finalizers it
+    # runs (say, a suspended generator in an earlier test's garbage).
+    gc.collect()
     previous = sys.getprofile()
+    gc.disable()
     sys.setprofile(profiler)
     try:
         sid = transport.register("svc", _noop, server, thread)
     finally:
         sys.setprofile(previous)
+        gc.enable()
     service = transport._xpc_services[sid]
     assert len(service.contexts) == max_contexts
     assert server.aspace.page_table.mapped_pages == 4 * max_contexts

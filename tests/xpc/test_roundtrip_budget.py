@@ -14,6 +14,7 @@ A change that adds a frame to the round trip fails here; one that
 removes frames should lower :data:`CALLS_PER_ROUND_TRIP` to match.
 """
 
+import gc
 import sys
 
 from repro.hw.machine import Machine
@@ -56,7 +57,11 @@ def _count_calls(call, sid, payloads) -> int:
         if event == "call":
             calls += 1
 
+    # A collection inside the window would count the finalizers it
+    # runs (say, a suspended generator in an earlier test's garbage).
+    gc.collect()
     previous = sys.getprofile()
+    gc.disable()
     sys.setprofile(profiler)
     try:
         for i in range(ROUND_TRIPS):
@@ -64,6 +69,7 @@ def _count_calls(call, sid, payloads) -> int:
             call(sid, ("echo", len(data)), data, reply_capacity=len(data))
     finally:
         sys.setprofile(previous)
+        gc.enable()
     return calls
 
 
