@@ -39,7 +39,6 @@ import struct
 from collections import OrderedDict
 from typing import List, NamedTuple, Optional
 
-import repro.faults as faults
 import repro.obs as obs
 import repro.probe as probe
 from repro.hw.cpu import Core
@@ -281,10 +280,9 @@ class XPCRing:
         full — the ``aio.ring_full`` fault point injects that refusal
         even with space remaining (a racing producer got there first).
         """
-        if faults.ACTIVE is not None:
-            if faults.fire("aio.ring_full") is not None:
-                raise XPCRingFullError(
-                    self.name, "submission ring full (injected)")
+        if probe.INJECT and probe.inject("aio.ring_full") is not None:
+            raise XPCRingFullError(
+                self.name, "submission ring full (injected)")
         idx = self._indices()
         tail = idx[_SQ_TAIL]
         if tail - idx[_CQ_HEAD] >= self.entries:
@@ -361,13 +359,12 @@ class XPCRing:
         The ``aio.stale_head`` fault point models a stale cached index:
         recovery is a charged re-read of the header line.
         """
-        if faults.ACTIVE is not None:
-            if faults.fire("aio.stale_head") is not None:
-                core.tick(core.params.aio_index_reload)
-                if obs.ACTIVE is not None:
-                    obs.ACTIVE.registry.counter(
-                        f"aio.stale_head_recovered.{self.name}").inc(
-                            cycle=core.cycles)
+        if probe.INJECT and probe.inject("aio.stale_head") is not None:
+            core.tick(core.params.aio_index_reload)
+            if obs.ACTIVE is not None:
+                obs.ACTIVE.registry.counter(
+                    f"aio.stale_head_recovered.{self.name}").inc(
+                        cycle=core.cycles)
         idx = self._indices()
         head = idx[_SQ_HEAD]
         if head >= idx[_SQ_TAIL]:

@@ -24,13 +24,14 @@ from __future__ import annotations
 
 from typing import Optional
 
-import repro.faults as faults
 import repro.obs as obs
+import repro.probe as probe
 from repro.hw.cpu import Core
 from repro.ipc.transport import Handler, RelayPayload
 from repro.kernel.kernel import BaseKernel
 from repro.kernel.process import Thread
-from repro.runtime.xpclib import ExhaustionPolicy, XPCService
+from repro.runtime.xpclib import (ExhaustionPolicy, ProcessCrashFault,
+                                  XPCService)
 from repro.aio.ring import SQE_ERR, SQE_OK, XPCRing
 
 
@@ -78,8 +79,8 @@ class RingService:
             sqe = ring.pop_sqe(core)
             if sqe is None:
                 break
-            if drained and faults.ACTIVE is not None:
-                act = faults.fire("aio.worker_death")
+            if drained and probe.INJECT:
+                act = probe.inject("aio.worker_death")
                 if act is not None:
                     # Die between two SQEs: the one just popped is
                     # consumed but never completed; earlier CQEs stay
@@ -104,7 +105,7 @@ class RingService:
                                sqe.data_len, base_offset=sqe.data_off)
         try:
             reply_meta, reply = self.handler(meta, payload)
-        except faults.ProcessCrashFault:
+        except ProcessCrashFault:
             raise
         except Exception as exc:  # noqa: BLE001 - contained per-request
             # A failing request must not poison the rest of the batch:
@@ -123,5 +124,4 @@ class RingService:
         unwinds through the kernel's §4.2 repair."""
         self.kernel.kill_process(self.server_thread.process,
                                  lazy=bool(act.get("lazy", True)))
-        raise faults.ProcessCrashFault(self.name,
-                                       self.server_thread.process)
+        raise ProcessCrashFault(self.name, self.server_thread.process)

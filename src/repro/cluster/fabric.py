@@ -26,7 +26,7 @@ import hashlib
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
-import repro.faults as faults
+import repro.probe as probe
 from repro.aio.ring import XPCRingFullError
 from repro.cluster.loadgen import LoadGenerator, Request
 from repro.cluster.naming import ShardedNameServer
@@ -316,8 +316,8 @@ class Cluster:
         ``cluster.node_death`` faults land here (the deterministic
         point between request batches where a machine can vanish).
         """
-        if faults.ACTIVE is not None:
-            action = faults.fire("cluster.node_death")
+        if probe.INJECT:
+            action = probe.inject("cluster.node_death")
             if action is not None:
                 victims = [n.node_id for n in self.live_nodes()]
                 victim = action.get("node", victims[-1] if victims else None)

@@ -35,7 +35,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-import repro.faults as faults
+import repro.probe as probe
 from repro.cluster.node import Node, NodeDownError
 
 __all__ = ["ClusterPartitionedError", "NodeDownError", "RpcLink",
@@ -85,8 +85,8 @@ class RpcLink:
         src.frontend_core.tick(params.copy_cycles(nbytes)
                                + params.cluster_rpc_header
                                + params.nic_loopback_fixed)
-        if faults.ACTIVE is not None:
-            action = faults.fire("cluster.partition")
+        if probe.INJECT:
+            action = probe.inject("cluster.partition")
             if action is not None:
                 self.partition(src.node_id, dst.node_id)
         if self.severed(src.node_id, dst.node_id):

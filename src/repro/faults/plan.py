@@ -1,10 +1,12 @@
 """Deterministic fault plans.
 
 A :class:`FaultPlan` owns a seeded PRNG and a set of armed
-:class:`FaultSpec`\\ s.  Instrumented code calls
-:func:`repro.faults.fire` at named points; the plan decides — purely as
-a function of (seed, arm order, hit counts) — whether that hit injects,
-and if so appends a :class:`FaultEvent` to ``plan.trace``.
+:class:`FaultSpec`\\ s.  Instrumented code asks the
+:func:`repro.probe.inject` site at named points, and an armed plan
+(:func:`repro.faults.active`) answers through :meth:`FaultPlan.fire`:
+it decides — purely as a function of (seed, arm order, hit counts) —
+whether that hit injects, and if so appends a :class:`FaultEvent` to
+``plan.trace``.
 
 Determinism contract (asserted by ``tests/chaos/test_faults_engine.py``):
 
@@ -49,8 +51,9 @@ class FaultEvent:
 
 @dataclass
 class FaultSpec:
-    """One armed fault: *where* (point), *when* (nth xor probability),
-    and *what* (free-form action kwargs interpreted by the fire site)."""
+    """One armed fault: *where* (point), *when* (from the nth hit on,
+    xor with probability), *how often* (times) and *what* (free-form
+    action kwargs interpreted by the fire site)."""
 
     point: str
     action: dict
@@ -76,7 +79,7 @@ class FaultSpec:
             return draw < self.probability
         if self.exhausted():
             return False
-        return hit == self.nth
+        return hit >= self.nth
 
     def record(self) -> None:
         self.fired += 1
@@ -109,9 +112,10 @@ class FaultPlan:
     def arm(self, point: str, *, nth: Optional[int] = None,
             probability: Optional[float] = None,
             times: Optional[int] = 1, **action) -> "FaultPlan":
-        """Arm *point* to fire at its *nth* hit, or at each hit with
-        seeded *probability*; fires at most *times* times (None =
-        unlimited).  Extra kwargs ride along as the event's action and
+        """Arm *point* to fire at each hit from its *nth* on, or at each
+        hit with seeded *probability*; fires at most *times* times (None
+        = unlimited), so with the default ``times=1`` an *nth* spec fires
+        once, at hit *nth* unless an earlier spec takes it.  Extra kwargs ride along as the event's action and
         are handed back to the fire site.  Returns self for chaining.
         """
         if not _points.known(point):

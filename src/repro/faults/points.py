@@ -1,12 +1,14 @@
 """The fault-point catalogue: every named injection site in the stack.
 
-A *fault point* is a named place where the simulation asks the active
-:class:`~repro.faults.plan.FaultPlan` whether to inject a failure.  The
+A *fault point* is a named place where the simulation asks the probe's
+``inject`` site (and through it the armed
+:class:`~repro.faults.plan.FaultPlan`) whether to inject a failure.  The
 catalogue is the authoritative list — :meth:`FaultPlan.arm` refuses
 unknown names so a typo'd plan fails loudly instead of silently arming
-nothing, and DESIGN.md §9 renders this table verbatim.
+nothing, and DESIGN.md §9's table lists these points in this order
+(``tests/chaos/test_faults_engine.py`` checks it).
 
-Points are grouped by the layer that hosts the ``fire()`` call, mirroring
+Points are grouped by the layer that hosts the ``inject`` call, mirroring
 the failure modes of the paper's §4.2/§6.1 fault story plus the device
 faults the OS-service evaluation (§5.3) must survive.
 
@@ -44,6 +46,11 @@ CATALOGUE = {
         "xpc",
         "the client's active relay segment is revoked by the kernel "
         "mid-workload (§4.4); in-flight windows go invalid"),
+    "xpc.captest.slow": (
+        "xpc",
+        "the xcall's capability test charges extra cycles (action key "
+        "'cycles'); a seeded silent slowdown for the perf-regression "
+        "sentry to bisect, hit once per xcall"),
     # -- kernel --------------------------------------------------------
     "kernel.preempt": (
         "kernel",

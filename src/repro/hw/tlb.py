@@ -11,7 +11,7 @@ from __future__ import annotations
 from collections import defaultdict
 from typing import DefaultDict, Optional, Tuple
 
-import repro.faults as faults
+import repro.probe as probe
 from repro.hw.memory import PAGE_SHIFT
 from repro.hw.paging import PagePerm
 
@@ -70,8 +70,7 @@ class TLB:
         vpn = va >> PAGE_SHIFT
         tset = self._sets[vpn % self.sets]
         key = (asid if self.tagged else 0, vpn)
-        if (faults.ACTIVE is not None
-                and faults.fire("hw.tlb.stale_entry") is not None):
+        if probe.INJECT and probe.inject("hw.tlb.stale_entry") is not None:
             # Injected stale entry: drop the line before use so the
             # access misses and re-walks the page table.
             tset.pop(key, None)

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from typing import Dict, Optional, Tuple
 
-import repro.faults as faults
 import repro.obs as obs
 import repro.probe as probe
 from repro.hw.cpu import Core
@@ -198,8 +197,7 @@ class XPCTransport(Transport):
         self.kernel.run_thread(core, self.client_thread)
         window_bytes = max(len(payload), reply_capacity)
         self._ensure_seg(window_bytes)
-        if (faults.ACTIVE is not None
-                and faults.fire("xpc.relayseg.revoke") is not None):
+        if probe.INJECT and probe.inject("xpc.relayseg.revoke") is not None:
             # Injected §4.4 revocation of the client's active segment:
             # this call fails (the window stops translating); the next
             # call's _ensure_seg builds a replacement.

@@ -1,8 +1,8 @@
-"""repro.probe — the one surface observers watch the machine through.
+"""repro.probe — the one surface the simulator is watched and armed through.
 
 The instrumented layers (hw, xpc, kernel, the XPC transport, the aio
-ring, the runtime trampoline and repro.faults) announce each named
-machine site here, once, behind one guard::
+ring, the runtime trampoline, the devices and the cluster fabric)
+announce each named machine site here, once, behind one guard::
 
     if probe.TRAP:
         probe.trap(core, cause)
@@ -11,52 +11,81 @@ Each upper-case global is the tuple of handlers subscribed to its site,
 so an unwatched site costs one global truth test and a subscriber pays
 only at the sites it implements.  Observers — ``obs.ObsSession``,
 ``san.SanSession``, ``snap.PreFaultSnapper`` and :class:`EventLog` —
-subscribe a ``{site: handler}`` mapping.  Handlers only observe: none
-ticks or mutates simulator state, so armed runs are cycle-identical to
-disarmed ones.  Like :mod:`repro.params`, this module imports nothing
-from the package.
+subscribe a ``{site: handler}`` mapping.  Their handlers only observe:
+none ticks or mutates simulator state, so watched runs are
+cycle-identical to unwatched ones.
+
+``inject`` is the one site whose handler decides.  A fault point asks
+it behind the same guard and applies what comes back::
+
+    if probe.INJECT:
+        act = probe.inject("net.drop")
+        if act is not None:
+            ...drop the frame...
+
+The first handler to return an action wins; the action is announced at
+the ``fault`` site before ``inject`` returns it, so observers see every
+injection before the fire site applies it.  ``repro.faults.active``
+subscribes a plan here.  Like :mod:`repro.params`, this module imports
+nothing from the package.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Dict, Hashable, List, NamedTuple, Tuple
+from typing import (Callable, Dict, Hashable, Iterable, List, NamedTuple,
+                    Optional, Tuple)
 
 SITES = ("machine", "kernel", "tick", "phase", "trap", "trap_ret",
          "as_switch", "xcall", "xret", "repair", "swapseg", "handoff",
-         "access", "fault")
+         "access", "fault", "inject")
 
 #: One tuple of subscribed handlers per site; ``()`` when unwatched.
 MACHINE = KERNEL = TICK = PHASE = TRAP = TRAP_RET = AS_SWITCH = ()
-XCALL = XRET = REPAIR = SWAPSEG = HANDOFF = ACCESS = FAULT = ()
+XCALL = XRET = REPAIR = SWAPSEG = HANDOFF = ACCESS = FAULT = INJECT = ()
+
+_SITE_SET = frozenset(SITES)
 
 #: ``(key, {site: handler})`` in dispatch order.
 _subscribers: List[Tuple[Hashable, Dict[str, Callable]]] = []
 
 
 def subscribe(key: Hashable, handlers: Dict[str, Callable],
-              first: bool = False) -> None:
-    """Install *handlers* under *key*, replacing any under that key.
-    *first* dispatches them ahead of every other subscriber: the
-    pre-fault snapper captures the world before any observer reacts."""
-    if not set(handlers) <= set(SITES):
+              first: bool = False) -> Optional[Dict[str, Callable]]:
+    """Install *handlers* under *key*, replacing any under that key,
+    and return the replaced handlers (None if *key* was new).  *first*
+    dispatches them ahead of every other subscriber: the pre-fault
+    snapper captures the world before any observer reacts."""
+    if not handlers.keys() <= _SITE_SET:
         raise ValueError(f"unknown probe sites in {sorted(handlers)}")
-    _subscribers[:] = [sub for sub in _subscribers if sub[0] != key]
+    prev = _drop(key)
     _subscribers.insert(0 if first else len(_subscribers), (key, handlers))
-    _rebuild()
+    _rebuild(handlers if prev is None else handlers.keys() | prev.keys())
+    return prev
 
 
 def unsubscribe(key: Hashable) -> None:
-    _subscribers[:] = [sub for sub in _subscribers if sub[0] != key]
-    _rebuild()
+    prev = _drop(key)
+    if prev is not None:
+        _rebuild(prev)
 
 
-def _rebuild() -> None:
-    table = {site.upper(): () for site in SITES}
-    for _, handlers in _subscribers:
-        for site, fn in handlers.items():
-            table[site.upper()] += (fn,)
-    globals().update(table)
+def _drop(key: Hashable) -> Optional[Dict[str, Callable]]:
+    for index, (other, handlers) in enumerate(_subscribers):
+        if other == key:
+            del _subscribers[index]
+            return handlers
+    return None
+
+
+def _rebuild(sites: Iterable[str]) -> None:
+    """Recompute the handler tuples of *sites* only; every other
+    site's tuple stays the same object."""
+    table = globals()
+    for site in sites:
+        table[site.upper()] = tuple([handlers[site]
+                                     for _, handlers in _subscribers
+                                     if site in handlers])
 
 
 # -- the sites, each called behind its own guard -----------------------
@@ -130,6 +159,18 @@ def access(core, obj, label: str, site: str, kind: str) -> None:
 def fault(point: str, action: dict) -> None:        # about to inject
     for fn in FAULT:
         fn(point, action)
+
+
+def inject(point: str) -> Optional[dict]:
+    """Fault point *point* was reached: the first handler's action, or
+    None.  An action is announced at :func:`fault` before it returns."""
+    for fn in INJECT:
+        action = fn(point)
+        if action is not None:
+            if FAULT:
+                fault(point, action)
+            return action
+    return None
 
 
 # -- the point-event log ----------------------------------------------

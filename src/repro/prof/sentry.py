@@ -7,7 +7,7 @@ with the snapshot stack:
 
 1. record the scenario twice with :class:`~repro.snap.record.Recorder`
    — a clean baseline and the suspect run (for CI smoke tests the
-   suspect is seeded via the engine's ``regress_captest_*`` test hook;
+   suspect is seeded as an ``xpc.captest.slow`` fault plan;
    for a real drift it is the current tree against a pinned baseline
    trace);
 2. the per-op cycle trace (``world.op_cycles``) is the **cycle-budget
@@ -27,6 +27,7 @@ from __future__ import annotations
 from typing import Callable, List, Optional, Tuple
 
 import repro.obs as obs
+from repro.faults import FaultPlan
 from repro.obs.profiler import diff_collapsed
 from repro.snap.record import Recorder
 from repro.snap.scenarios import SCENARIOS
@@ -48,14 +49,13 @@ def kernel_of(world):
 
 
 def seed_captest_regression(extra: int, after_ops: int) -> Callable:
-    """A world mutator arming the engine's seeded-regression test hook:
-    every xcall after the first *after_ops* charges *extra* extra
-    captest cycles."""
+    """A world mutator arming a seeded captest slowdown as the world's
+    fault plan: every xcall after the first *after_ops* charges *extra*
+    extra captest cycles."""
 
     def mutate(world):
-        engine = world.core.xpc_engine
-        engine.regress_captest_extra = extra
-        engine.regress_captest_after = after_ops
+        world.plan = FaultPlan().arm("xpc.captest.slow", nth=after_ops + 1,
+                                     times=None, cycles=extra)
 
     return mutate
 

@@ -21,7 +21,6 @@ import enum
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
 
-import repro.faults as faults
 import repro.obs as obs
 import repro.probe as probe
 from repro.hw.cpu import Core
@@ -55,6 +54,19 @@ class XPCTimeoutError(XPCError):
         super().__init__(
             f"callee used {used} cycles against a budget of {budget}"
         )
+
+
+class ProcessCrashFault(Exception):
+    """Raised by an injected callee crash to abort the handler after the
+    process has been killed.  This is simulator control flow, not a
+    protocol error: the runtime converts it into the kernel-repaired
+    return path and surfaces ``XPCPeerDiedError`` to the caller.
+    """
+
+    def __init__(self, service: str = "?", process=None):
+        super().__init__(f"injected crash of {service}")
+        self.service = service
+        self.process = process
 
 
 class ExhaustionPolicy(enum.Enum):
@@ -203,11 +215,10 @@ class XPCService:
         if probe.PHASE:
             probe.phase(core, (("phase:cstack", params.cstack_switch),))
         core.tick(params.cstack_switch)
-        if faults.ACTIVE is not None:
-            act = faults.fire("kernel.preempt")
-            if act is not None:
+        if probe.INJECT:
+            if probe.inject("kernel.preempt") is not None:
                 self.kernel.preempt(core)
-            act = faults.fire("xpc.callee_crash")
+            act = probe.inject("xpc.callee_crash")
             if act is not None:
                 self._release_context(ctx, caller_id)
                 self._injected_crash(act)
@@ -233,8 +244,8 @@ class XPCService:
             self._release_context(ctx, caller_id)
             if span is not None and obs.ACTIVE is not None:
                 obs.ACTIVE.spans.end(core, span)
-        if faults.ACTIVE is not None:
-            act = faults.fire("xpc.callee_crash_before_xret")
+        if probe.INJECT:
+            act = probe.inject("xpc.callee_crash_before_xret")
             if act is not None:
                 self._injected_crash(act)
         return result
@@ -245,8 +256,7 @@ class XPCService:
         this into the kernel-repaired return of §4.2."""
         self.kernel.kill_process(self.server_thread.process,
                                  lazy=bool(act.get("lazy", True)))
-        raise faults.ProcessCrashFault(self.name,
-                                       self.server_thread.process)
+        raise ProcessCrashFault(self.name, self.server_thread.process)
 
 
 def xpc_submit(batcher, meta: tuple, payload: bytes = b"",
@@ -333,7 +343,7 @@ def _xpc_call_body(core: Core, entry_id: int, args,
     start = core.cycles
     try:
         result = entry.handler(core, engine, entry, window, args)
-    except faults.ProcessCrashFault as exc:
+    except ProcessCrashFault as exc:
         crashed = exc
     except Exception as exc:          # noqa: BLE001 - re-raised below
         failure = exc

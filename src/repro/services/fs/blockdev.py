@@ -17,9 +17,9 @@ a dormant snapshot holds only the blocks that were written.
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Tuple
 
-import repro.faults as faults
+import repro.probe as probe
 from repro.hw.memory import PAGE_SIZE, PhysicalMemory
 from repro.ipc.transport import Payload, Transport
 
@@ -36,7 +36,7 @@ class BlockDeviceError(Exception):
 
 
 class RamDisk:
-    """A volatile block device with optional fault injection.
+    """A volatile block device; its faults are the ``blockdev.*`` points.
 
     Block *n* lives at byte ``n * block_size`` of the device's RAM, a
     :class:`~repro.hw.memory.PhysicalMemory` sized to the disk (rounded
@@ -54,16 +54,10 @@ class RamDisk:
         self.ram.alloc_contiguous(size)
         self.reads = 0
         self.writes = 0
-        #: Fault injection: device "crashes" after this many more writes
-        #: (None = healthy).  Writes after the crash are silently lost,
-        #: which is what the journal property tests need.
-        self.crash_after_writes: Optional[int] = None
-        self.crashed = False
 
     def read(self, blockno: int) -> bytes:
         self._check(blockno)
-        if (faults.ACTIVE is not None
-                and faults.fire("blockdev.io_error") is not None):
+        if probe.INJECT and probe.inject("blockdev.io_error") is not None:
             raise BlockDeviceError(
                 f"injected I/O error reading block {blockno}")
         self.reads += 1
@@ -76,30 +70,18 @@ class RamDisk:
                 f"write of {len(data)} bytes to a {self.block_size}-byte "
                 "block device"
             )
-        if faults.ACTIVE is not None:
-            if faults.fire("blockdev.io_error") is not None:
+        if probe.INJECT:
+            if probe.inject("blockdev.io_error") is not None:
                 raise BlockDeviceError(
                     f"injected I/O error writing block {blockno}")
-            if faults.fire("blockdev.lost_write") is not None:
+            if probe.inject("blockdev.lost_write") is not None:
                 return  # injected lost write (crash-model, §5.3)
-        if self.crashed:
-            return  # lost write
-        if self.crash_after_writes is not None:
-            if self.crash_after_writes <= 0:
-                self.crashed = True
-                return
-            self.crash_after_writes -= 1
         self.writes += 1
         self.ram.write(blockno * self.block_size, data)
 
     def _check(self, blockno: int) -> None:
         if not 0 <= blockno < self.nblocks:
             raise BlockDeviceError(f"block {blockno} out of range")
-
-    def revive(self) -> None:
-        """Clear the crash state (simulates reboot: contents survive)."""
-        self.crashed = False
-        self.crash_after_writes = None
 
 
 class BlockServer:

@@ -9,9 +9,7 @@ buffer TCP throughput on Zircon.
 
 from __future__ import annotations
 
-from typing import Optional
-
-import repro.faults as faults
+import repro.probe as probe
 from repro.ipc.transport import Payload, RelayPayload, Transport
 
 OP_SEND = "xmit"
@@ -19,7 +17,8 @@ OP_STATS = "stats"
 
 
 class LoopbackServer:
-    """Echoes frames back to the stack, with optional fault injection."""
+    """Echoes frames back to the stack; its faults are the ``net.*``
+    points."""
 
     def __init__(self, transport: Transport, server_process,
                  server_thread, name: str = "netdev") -> None:
@@ -27,9 +26,6 @@ class LoopbackServer:
         self.params = transport.kernel.params
         self.frames = 0
         self.bytes = 0
-        #: Drop every Nth frame (None = lossless) — lets the tests
-        #: exercise TCP retransmission.
-        self.drop_every: Optional[int] = None
         self.dropped = 0
         self.sid = transport.register(
             name, self._handle, server_process, server_thread)
@@ -41,14 +37,11 @@ class LoopbackServer:
             self.frames += 1
             frame = payload.read(meta[1])
             self.bytes += len(frame)
-            if self.drop_every and self.frames % self.drop_every == 0:
-                self.dropped += 1
-                return (1,), None          # frame lost on the wire
-            if faults.ACTIVE is not None:
-                if faults.fire("net.drop") is not None:
+            if probe.INJECT:
+                if probe.inject("net.drop") is not None:
                     self.dropped += 1
                     return (1,), None      # injected wire loss
-                act = faults.fire("net.corrupt")
+                act = probe.inject("net.corrupt")
                 if act is not None:
                     # Flip one byte; the IP/TCP checksums catch it and
                     # the stack drops the frame (retransmit recovers).

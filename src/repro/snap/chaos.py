@@ -1,7 +1,7 @@
 """Pre-fault snapshots for the chaos harness.
 
 :class:`PreFaultSnapper` subscribes to the ``fault`` site of
-:mod:`repro.probe`, which :func:`repro.faults.fire` announces the
+:mod:`repro.probe`, which :func:`repro.probe.inject` announces the
 moment a plan decides to inject.  The site fires *after* the plan has
 recorded the event in its trace but *before* the fire site applies the
 action, so each snapshot captures the world on the brink of the fault:

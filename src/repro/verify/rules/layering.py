@@ -43,9 +43,9 @@ from repro.verify.lint import LintViolation, ModuleInfo, Rule
 
 #: unit -> units it may import (its own unit is always allowed).
 #: ``probe`` sits beside ``params`` at the bottom: the machine's sites
-#: report into it and observers subscribe to it.  ``faults`` is pure
-#: policy (seeded decisions + trace recording) with no simulator
-#: dependencies, so every layer may consult it at its fault points.
+#: report into it, its fault points ask its ``inject`` site, and
+#: observers subscribe to it.  ``faults`` is a driver: its plans arm
+#: the probe's ``inject`` site, so no simulator layer imports it.
 ALLOWED_IMPORTS = {
     "params": set(),
     "probe": set(),
@@ -55,30 +55,28 @@ ALLOWED_IMPORTS = {
     # the reference stack it re-implements (FORBIDDEN_IMPORTS pins this
     # set and forbids the reverse edge).
     "fastcore": {"params"},
-    "hw": {"params", "faults", "probe"},
-    "xpc": {"hw", "params", "faults", "probe"},
-    "kernel": {"xpc", "hw", "params", "faults", "obs", "probe"},
-    "runtime": {"kernel", "xpc", "hw", "params", "faults", "obs",
-                "probe"},
-    "ipc": {"runtime", "kernel", "xpc", "hw", "params", "faults", "obs",
-            "probe"},
-    "sel4": {"ipc", "runtime", "kernel", "xpc", "hw", "params", "faults",
-             "obs", "san"},
-    "zircon": {"ipc", "runtime", "kernel", "xpc", "hw", "params", "faults",
-               "obs", "san"},
-    "binder": {"ipc", "runtime", "kernel", "xpc", "hw", "params", "faults",
-               "obs", "san"},
+    "hw": {"params", "probe"},
+    "xpc": {"hw", "params", "probe"},
+    "kernel": {"xpc", "hw", "params", "obs", "probe"},
+    "runtime": {"kernel", "xpc", "hw", "params", "obs", "probe"},
+    "ipc": {"runtime", "kernel", "xpc", "hw", "params", "obs", "probe"},
+    "sel4": {"ipc", "runtime", "kernel", "xpc", "hw", "params", "obs",
+             "san"},
+    "zircon": {"ipc", "runtime", "kernel", "xpc", "hw", "params", "obs",
+               "san"},
+    "binder": {"ipc", "runtime", "kernel", "xpc", "hw", "params", "obs",
+               "san"},
     "services": {"aio", "ipc", "runtime", "kernel", "xpc", "hw", "params",
-                 "faults", "analysis", "obs", "san"},
+                 "analysis", "obs", "san", "probe"},
     # Async/batched XPC sits between ipc and services: it builds on the
     # transport's payload surface and the runtime library, and the
     # service servers adopt it for their batched front-ends.
-    "aio": {"ipc", "runtime", "kernel", "xpc", "hw", "params", "faults",
-            "obs", "probe"},
+    "aio": {"ipc", "runtime", "kernel", "xpc", "hw", "params", "obs",
+            "probe"},
     "apps": {"services", "ipc", "runtime", "kernel", "xpc", "hw", "params",
-             "faults", "obs", "san"},
+             "obs", "san"},
     # Side packages: measurement and analysis tooling.
-    # ``obs`` sits beside ``faults`` at the bottom: a pure observer
+    # ``obs`` sits beside ``probe`` at the bottom: a pure observer
     # (counters, spans, PMU sampling) that never charges cycles, fed
     # machine events by the probe and application metrics directly.
     "obs": {"params", "probe", "analysis"},
@@ -123,8 +121,8 @@ ALLOWED_IMPORTS = {
     # for autoscaling, and the shard services reuse the real apps.
     # Nothing below imports repro.cluster.
     "cluster": {"prof", "aio", "ipc", "sel4", "services", "apps",
-                "runtime", "kernel", "xpc", "hw", "params", "faults",
-                "obs", "san", "analysis"},
+                "runtime", "kernel", "xpc", "hw", "params", "obs", "san",
+                "analysis", "probe"},
 }
 
 #: Reference-side units that may never import repro.fastcore.

@@ -120,17 +120,6 @@ class XPCEngine:
     #: sets it.
     unsafe_skip_return_check = False
 
-    #: TEST HOOK — seeded perf regression for the repro.prof sentry.
-    #: When ``regress_captest_extra`` is nonzero (set per instance),
-    #: every xcall after the first ``regress_captest_after`` charges
-    #: that many extra captest cycles, modelling a silent cap-test
-    #: slowdown landing mid-trace.  The sentry's job
-    #: (``repro.prof.sentry``) is to bisect a recorded run to the exact
-    #: op where this fires and name the phase in a flame-tree diff;
-    #: production code never sets it.
-    regress_captest_extra = 0
-    regress_captest_after = 0
-
     def __init__(self, core: Core, table: XEntryTable,
                  config: Optional[XPCConfig] = None) -> None:
         self.core = core
@@ -265,10 +254,10 @@ class XPCEngine:
         params = self.params
         stats = self.stats
         cycles = XCALL_CAPTEST_FLOOR
-        if self.regress_captest_extra:
-            self._regress_seq = getattr(self, "_regress_seq", 0) + 1
-            if self._regress_seq > self.regress_captest_after:
-                cycles += self.regress_captest_extra
+        if probe.INJECT:
+            act = probe.inject("xpc.captest.slow")
+            if act is not None:
+                cycles += act["cycles"]
         captest_cycles = cycles
         xentry_cycles = 0
         try:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Optional, Tuple
 
-import repro.faults as faults
+import repro.probe as probe
 from repro.xpc.entry import XEntry, XEntryTable
 
 
@@ -50,8 +50,8 @@ class XPCEngineCache:
     def lookup(self, entry_id: int,
                thread: object = None) -> Optional[XEntry]:
         """Return the cached entry, or None on miss."""
-        if (faults.ACTIVE is not None
-                and faults.fire("xpc.engine_cache.stale_entry") is not None):
+        if (probe.INJECT
+                and probe.inject("xpc.engine_cache.stale_entry") is not None):
             # Injected stale line: evict before the lookup so the xcall
             # falls back to a validated x-entry table load.
             self._lines[entry_id % self.entries] = None

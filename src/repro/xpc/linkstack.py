@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional
 
-import repro.faults as faults
+import repro.probe as probe
 from repro.hw.paging import AddressSpace
 from repro.xpc.errors import (InvalidLinkageError, LinkStackOverflowError,
                               LinkStackUnderflowError)
@@ -74,8 +74,8 @@ class LinkStack:
     def push(self, record: LinkageRecord) -> None:
         records = self._records
         if len(records) >= self.capacity or (
-                faults.ACTIVE is not None
-                and faults.fire("xpc.linkstack.overflow") is not None):
+                probe.INJECT
+                and probe.inject("xpc.linkstack.overflow") is not None):
             raise LinkStackOverflowError(depth=self.depth,
                                          capacity=self.capacity)
         records.append(record)

@@ -126,13 +126,11 @@ def run_fs_workload(kernel, transport, client_thread,
             except Exception:
                 # Fail-stop: the op surfaced an error.  Resync ground
                 # truth (the op may have partially applied) with the
-                # plan suspended so the resync read cannot inject.
+                # plan suspended (an empty plan armed in its place) so
+                # the resync read cannot inject.
                 failures += 1
-                faults.uninstall()
-                try:
+                with faults.active(FaultPlan()):
                     mirror = bytearray(fs.read("/data", 0, file_bytes))
-                finally:
-                    faults.install(plan)
             watch.after_op()
     # Post-chaos: the stack is healthy again with no plan armed.
     final = fs.read("/data", 0, file_bytes)

@@ -1,17 +1,22 @@
 """The fault-injection engine itself: determinism, replay, arming."""
 
+import re
+from pathlib import Path
+
 import pytest
 
 import repro.faults as faults
+import repro.probe as probe
 from repro.faults import FaultPlan, FaultPlanError
 
 
 def drive(plan, points):
-    """Fire a fixed point sequence against *plan*; return fire results."""
+    """Reach a fixed point sequence with *plan* armed; return the
+    actions the ``inject`` site hands back."""
     out = []
     with faults.active(plan):
         for point in points:
-            out.append(faults.fire(point))
+            out.append(probe.inject(point))
     return out
 
 
@@ -47,6 +52,19 @@ class TestTriggering:
         results = drive(plan, ["net.drop"] * 6)
         assert [r is not None for r in results] == [
             False, False, True, False, False, False]
+
+    def test_nth_with_unlimited_times_fires_from_nth_on(self):
+        plan = FaultPlan(7).arm("net.drop", nth=3, times=None)
+        results = drive(plan, ["net.drop"] * 6)
+        assert [r is not None for r in results] == [
+            False, False, True, True, True, True]
+        assert [e.hit for e in plan.trace] == [3, 4, 5, 6]
+
+    def test_nth_with_times_fires_that_many_from_nth(self):
+        plan = FaultPlan(7).arm("net.drop", nth=3, times=2)
+        results = drive(plan, ["net.drop"] * 6)
+        assert [r is not None for r in results] == [
+            False, False, True, True, False, False]
 
     def test_times_bounds_probabilistic_firing(self):
         plan = FaultPlan(7).arm("net.drop", probability=1.0, times=2)
@@ -130,21 +148,51 @@ class TestReplay:
 
 class TestInstallation:
     def test_fire_without_plan_is_none(self):
-        faults.uninstall()
-        assert faults.fire("net.drop") is None
-        assert faults.ACTIVE is None
+        assert probe.INJECT == ()
+        assert probe.inject("net.drop") is None
 
     def test_active_restores_previous_plan(self):
         outer = FaultPlan(1)
         inner = FaultPlan(2)
+
+        def hits():
+            probe.inject("test.which")
+            return outer.hits("test.which"), inner.hits("test.which")
+
         with faults.active(outer):
             with faults.active(inner):
-                assert faults.ACTIVE is inner
-            assert faults.ACTIVE is outer
-        assert faults.ACTIVE is None
+                assert hits() == (0, 1)
+            assert hits() == (1, 1)
+        assert probe.INJECT == ()
+        assert hits() == (1, 1)
+
+    def test_injection_is_announced_at_the_fault_site(self):
+        seen = []
+        plan = FaultPlan(1).arm("net.corrupt", nth=2, byte=3)
+        probe.subscribe("test-fault-log", {
+            "fault": lambda point, action: seen.append(
+                (point, dict(action), len(plan.trace)))})
+        try:
+            drive(plan, ["net.corrupt"] * 3)
+        finally:
+            probe.unsubscribe("test-fault-log")
+        # Announced once, after the plan recorded it, with its action.
+        assert seen == [("net.corrupt", {"byte": 3}, 1)]
 
     def test_catalogue_layers_are_known(self):
         from repro.faults.points import CATALOGUE, layer_of
         for point in CATALOGUE:
             assert layer_of(point) in {"hw", "xpc", "kernel", "services",
                                        "aio", "cluster"}
+
+
+def test_design_fault_table_lists_the_catalogue():
+    """DESIGN.md §9 renders the catalogue: its table's point column is
+    exactly ``CATALOGUE``'s keys, in order."""
+    from repro.faults.points import CATALOGUE
+    design = Path(__file__).resolve().parents[2] / "DESIGN.md"
+    text = design.read_text()
+    section = text[text.index("\n## 9. "):]
+    section = section[:section.index("\n## 10. ")]
+    points = re.findall(r"^\| `([^`]+)` \|", section, flags=re.MULTILINE)
+    assert points == list(CATALOGUE)

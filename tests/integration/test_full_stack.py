@@ -4,10 +4,12 @@ import os
 
 import pytest
 
+import repro.faults as faults
 from repro.apps.sqlite.db import Database
 from repro.apps.ycsb import YCSBDriver
 from repro.services.fs import build_fs_stack
 from tests.conftest import TRANSPORT_SPECS, build_transport
+from tests.services.test_log_crash import device_crash
 
 
 @pytest.fixture(params=TRANSPORT_SPECS, ids=[s[0] for s in TRANSPORT_SPECS])
@@ -114,12 +116,11 @@ class TestFaultInjectionAcrossTheStack:
                                           disk_blocks=4096)
         fs.create("/a")
         fs.write("/a", b"committed state")
-        disk.crash_after_writes = 3
-        try:
-            fs.write("/a", b"X" * 40000)
-        except Exception:
-            pass
-        disk.revive()
+        with faults.active(device_crash(3)):
+            try:
+                fs.write("/a", b"X" * 40000)
+            except Exception:
+                pass
         server.cache.invalidate()
         recovered = server.fs.log.recover()
         data = fs.read("/a")

@@ -2,10 +2,12 @@
 
 import pytest
 
+import repro.faults as faults
 from repro.services.fs.blockdev import (
     BSIZE, BlockClient, BlockDeviceError, BlockServer, RamDisk,
 )
 from tests.conftest import TRANSPORT_SPECS, build_transport, make_server
+from tests.services.test_log_crash import device_crash
 
 
 def build(spec=TRANSPORT_SPECS[2]):
@@ -37,20 +39,21 @@ class TestRamDisk:
 
     def test_crash_drops_writes(self):
         disk = RamDisk(8)
-        disk.crash_after_writes = 1
-        disk.write(0, b"\x01" * BSIZE)   # survives
-        disk.write(1, b"\x02" * BSIZE)   # lost (device crashed)
-        disk.write(2, b"\x03" * BSIZE)   # lost
+        crash = device_crash(1)
+        with faults.active(crash):
+            disk.write(0, b"\x01" * BSIZE)   # survives
+            disk.write(1, b"\x02" * BSIZE)   # lost (device crashed)
+            disk.write(2, b"\x03" * BSIZE)   # lost
         assert disk.read(0) == b"\x01" * BSIZE
         assert disk.read(1) == b"\x00" * BSIZE
-        assert disk.crashed
+        assert [e.hit for e in crash.trace] == [2, 3]
 
     def test_revive_keeps_contents(self):
         disk = RamDisk(8)
         disk.write(0, b"\x09" * BSIZE)
-        disk.crash_after_writes = 0
-        disk.write(1, b"\x01" * BSIZE)
-        disk.revive()
+        with faults.active(device_crash(0)):
+            disk.write(1, b"\x01" * BSIZE)
+        assert disk.read(1) == b"\x00" * BSIZE
         assert disk.read(0) == b"\x09" * BSIZE
         disk.write(1, b"\x01" * BSIZE)
         assert disk.read(1) == b"\x01" * BSIZE

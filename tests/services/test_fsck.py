@@ -3,9 +3,10 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import repro.faults as faults
 from repro.services.fs.blockdev import BSIZE, RamDisk
 from repro.services.fs.xv6fs import T_DIR, Xv6FS
-from tests.services.test_log_crash import DirectDisk
+from tests.services.test_log_crash import DirectDisk, device_crash
 
 
 def make_fs(blocks=2048):
@@ -95,13 +96,12 @@ class TestCrashConsistency:
         fs.create("/d", T_DIR)
         fs.create("/d/file")
         fs.write("/d/file", b"A" * (2 * BSIZE))
-        disk.crash_after_writes = crash_after
-        try:
-            fs.write("/d/file", b"B" * (6 * BSIZE))
-            fs.create("/d/second")
-            fs.rename("/d/file", "/d/renamed")
-        except Exception:
-            pass
-        disk.revive()
+        with faults.active(device_crash(crash_after)):
+            try:
+                fs.write("/d/file", b"B" * (6 * BSIZE))
+                fs.create("/d/second")
+                fs.rename("/d/file", "/d/renamed")
+            except Exception:
+                pass
         recovered = Xv6FS(DirectDisk(disk))   # mount runs log recovery
         assert recovered.fsck() == []

@@ -8,6 +8,8 @@ before or entirely after the transaction, never in between.
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import repro.faults as faults
+from repro.faults import FaultPlan
 from repro.services.fs.blockdev import BSIZE, RamDisk
 from repro.services.fs.log import LOG_MAX_BLOCKS, Log, LogFullError
 
@@ -32,6 +34,14 @@ class DirectDisk:
 
 def block(byte):
     return bytes([byte]) * BSIZE
+
+
+def device_crash(writes):
+    """A plan under which the ramdisk crashes after *writes* more
+    writes: every later write is silently lost until the plan's
+    ``faults.active`` scope ends, which stands in for the reboot."""
+    return FaultPlan().arm("blockdev.lost_write", nth=writes + 1,
+                           times=None)
 
 
 def make_log(disk=None):
@@ -119,17 +129,16 @@ class TestCrashRecovery:
         log.log_write(71, block(0xBB))
         log.end_op()
         # The transaction that gets torn.
-        disk.crash_after_writes = crash_after
-        log.begin_op()
-        log.log_write(70, block(0x11))
-        log.log_write(71, block(0x22))
-        log.log_write(72, block(0x33))
-        try:
-            log.end_op()
-        except Exception:  # device died mid-commit; kernel panics
-            pass
+        with faults.active(device_crash(crash_after)):
+            log.begin_op()
+            log.log_write(70, block(0x11))
+            log.log_write(71, block(0x22))
+            log.log_write(72, block(0x33))
+            try:
+                log.end_op()
+            except Exception:  # device died mid-commit; kernel panics
+                pass
         # Reboot: contents survive, in-memory state does not.
-        disk.revive()
         recovered = Log(DirectDisk(disk), logstart=1)
         recovered.recover()
         return disk

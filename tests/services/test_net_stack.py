@@ -4,6 +4,8 @@ import os
 
 import pytest
 
+import repro.faults as faults
+from repro.faults import FaultPlan
 from repro.services.net import TCPError, build_net_stack
 from tests.conftest import TRANSPORT_SPECS, build_transport
 
@@ -14,6 +16,16 @@ def net_world(request):
         request.param, mem_bytes=256 * 1024 * 1024)
     server, net, dev = build_net_stack(transport, kernel)
     return machine, kernel, net, dev, server
+
+
+def lossy_wire(dev, every):
+    """A plan dropping every *every*-th frame the loopback device *dev*
+    carries, counted from its first frame (for the next 100 drops)."""
+    first = every - dev.frames % every
+    plan = FaultPlan()
+    for n in range(100):
+        plan.arm("net.drop", nth=first + n * every)
+    return plan
 
 
 def connect_pair(net):
@@ -92,14 +104,14 @@ class TestFaultInjection:
             TRANSPORT_SPECS[2], mem_bytes=256 * 1024 * 1024)
         server, net, dev = build_net_stack(transport, kernel)
         client, conn = connect_pair(net)
-        dev.drop_every = 5      # lose every 5th frame
         blob = os.urandom(6000)
-        net.send(client, blob)
-        got = net.recv(conn, 8000)
-        for _ in range(20):
-            if len(got) == len(blob):
-                break
-            net.poll()          # retransmission timer
-            got += net.recv(conn, 8000)
+        with faults.active(lossy_wire(dev, 5)):   # lose every 5th frame
+            net.send(client, blob)
+            got = net.recv(conn, 8000)
+            for _ in range(20):
+                if len(got) == len(blob):
+                    break
+                net.poll()          # retransmission timer
+                got += net.recv(conn, 8000)
         assert got == blob
         assert dev.dropped > 0

@@ -3,6 +3,7 @@ delayed ACKs, FS rename, DROP TABLE."""
 
 import pytest
 
+import repro.faults as faults
 from repro.apps.sqlite.db import Database, DBError
 from repro.hw.machine import Machine
 from repro.kernel.objects import Right
@@ -15,6 +16,7 @@ from repro.zircon.channel import HandleError, Message
 from repro.zircon.kernel import ZirconKernel
 from tests.conftest import TRANSPORT_SPECS, build_transport
 from tests.services.test_log_crash import DirectDisk
+from tests.services.test_net_stack import lossy_wire
 
 
 class TestZirconHandleTransfer:
@@ -107,15 +109,15 @@ class TestDelayedAcks:
 
     def test_retransmission_still_works(self):
         machine, net, dev, client, conn = self._tput_world(True)
-        dev.drop_every = 4
         blob = bytes(range(256)) * 30
-        net.send(client, blob)
-        got = net.recv(conn, len(blob))
-        for _ in range(20):
-            if len(got) == len(blob):
-                break
-            net.poll()
-            got += net.recv(conn, len(blob))
+        with faults.active(lossy_wire(dev, 4)):
+            net.send(client, blob)
+            got = net.recv(conn, len(blob))
+            for _ in range(20):
+                if len(got) == len(blob):
+                    break
+                net.poll()
+                got += net.recv(conn, len(blob))
         assert got == blob
 
 

@@ -15,6 +15,7 @@ from repro.services.fs.blockdev import BSIZE, RamDisk
 from repro.snap.core import capture, restore
 from repro.snap.record import Recorder
 from repro.snap.scenarios import fig7_world
+from tests.services.test_log_crash import device_crash
 
 
 def _block(blockno: int) -> bytes:
@@ -45,13 +46,13 @@ def test_odd_geometry_rounds_up_to_pages():
 
 def test_crash_lost_write_and_revive():
     disk = RamDisk(8)
-    disk.crash_after_writes = 1
-    disk.write(0, _block(0))                    # survives
-    disk.write(1, _block(1))                    # crash: lost
-    assert disk.crashed
-    disk.write(2, _block(2))                    # lost
+    crash = device_crash(1)
+    with faults.active(crash):
+        disk.write(0, _block(0))                # survives
+        disk.write(1, _block(1))                # crash: lost
+        assert crash.trace
+        disk.write(2, _block(2))                # lost
     assert disk.writes == 1
-    disk.revive()
     plan = FaultPlan(seed=1).arm("blockdev.lost_write", nth=2)
     with faults.active(plan):
         disk.write(3, _block(3))                # survives

@@ -189,6 +189,7 @@ POINTS = {
     "xpc.callee_crash": (_fig5_guarded, {}),
     "xpc.callee_crash_before_xret": (_fig5_guarded, {}),
     "xpc.relayseg.revoke": (_fig5_guarded, {}),
+    "xpc.captest.slow": (_fig5_guarded, {"cycles": 50}),
     "kernel.preempt": (_fig5_guarded, {}),
     "blockdev.io_error": (_fig7_guarded, {}),
     "blockdev.lost_write": (_fig7_guarded, {}),

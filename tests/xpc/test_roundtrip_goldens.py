@@ -9,11 +9,14 @@ invalid seg-mask, relay-seg theft at ``xret`` with its §4.2 repair, a
 window revoked mid-call, and dead callees.  After every step the script
 records the outcome (or the exception type and message), the core's
 clock, the engine's stats, the client's link-stack depth and
-high-watermark, its seg-reg/seg-mask values and every ``faults.fire``
-point hit in order; a :class:`repro.probe.EventLog` digest closes the
-transcript.  The digest was recorded before the round trip's host-cost
-rework, so any change in what the path computes, charges, announces or
-raises shows up as a mismatch.
+high-watermark, its seg-reg/seg-mask values and every fault point
+reached in order (each xcall reaches ``xpc.captest.slow``); a
+:class:`repro.probe.EventLog` digest closes the transcript.  The digest
+was recorded before the round trip's host-cost rework and re-pinned
+only when the per-xcall captest point joined the fire-order list
+(without that point the transcript hashes as before), so any change in
+what the path computes, charges, announces or raises shows up as a
+mismatch.
 
 With ``REPRO_OBS=1`` (plus ``REPRO_PROFILE=1``) or ``REPRO_XPCSAN=1``
 the script runs under an armed observer and must still match: observers
@@ -35,12 +38,12 @@ import repro.san as san
 from repro.hw.machine import Machine
 from repro.ipc.xpc_transport import XPCTransport
 from repro.kernel.kernel import BaseKernel
-from repro.runtime.xpclib import xpc_call
+from repro.runtime.xpclib import ProcessCrashFault, xpc_call
 from repro.xpc.engine import XPCConfig
 from repro.xpc.linkstack import LinkStack
 from repro.xpc.relayseg import NO_MASK, SegMask
 
-GOLDEN = "f0b2ff3633273b1f375a536c281ca09ea16be4fcc6315655efb195393c1aec09"
+GOLDEN = "0fe45facb5f1bdbd2f583d09734b40dd7d9fc4d85c5e1e80b3725dc8287633ff"
 
 
 class _FireOrder(faults.FaultPlan):
@@ -182,7 +185,7 @@ def _main_world(lines):
 
     def crasher(meta, payload):
         kernel.kill_process(crash_proc, lazy=meta[1] == "lazy", core=core)
-        raise faults.ProcessCrashFault("crasher", crash_proc)
+        raise ProcessCrashFault("crasher", crash_proc)
 
     crasher_sid, crash_proc, _ = s.serve("crasher", crasher)
 
