@@ -25,7 +25,7 @@ from __future__ import annotations
 import enum
 from typing import Callable, Optional
 
-import repro.obs as obs
+import repro.probe as probe
 from repro.hw.cpu import Core
 from repro.aio.ring import XPCRingFullError
 
@@ -76,9 +76,9 @@ class AdmissionController:
         if self.slo is not None and self.slo.should_shed(core.cycles):
             self.shed += 1
             self.rejected += 1
-            if obs.ACTIVE is not None:
-                obs.ACTIVE.registry.counter(
-                    f"aio.slo_shed.{self.name}").inc(cycle=core.cycles)
+            if probe.METRIC:
+                probe.metric("counter", f"aio.slo_shed.{self.name}", 1,
+                             core.cycles)
             if self.health is not None:
                 self.health.report_failure(self.service_name)
             raise XPCRingFullError(
@@ -88,10 +88,10 @@ class AdmissionController:
         while self.inflight >= self.limit:
             if self.policy is AdmissionPolicy.REJECT or parks >= self.max_parks:
                 self.rejected += 1
-                if obs.ACTIVE is not None:
-                    obs.ACTIVE.registry.counter(
-                        f"aio.admission_rejected.{self.name}").inc(
-                            cycle=core.cycles)
+                if probe.METRIC:
+                    probe.metric("counter",
+                                 f"aio.admission_rejected.{self.name}", 1,
+                                 core.cycles)
                 if self.health is not None:
                     self.health.report_failure(self.service_name)
                 raise XPCRingFullError(
@@ -101,10 +101,9 @@ class AdmissionController:
             parks += 1
             self.parked += 1
             core.tick(self.park_cycles)
-            if obs.ACTIVE is not None:
-                obs.ACTIVE.registry.counter(
-                    f"aio.admission_parked.{self.name}").inc(
-                        cycle=core.cycles)
+            if probe.METRIC:
+                probe.metric("counter", f"aio.admission_parked.{self.name}",
+                             1, core.cycles)
             if drain_hook is not None:
                 drain_hook()
         self.inflight += 1
@@ -119,7 +118,6 @@ class AdmissionController:
             self.health.report_success(self.service_name)
 
     def _gauge(self, core: Core) -> None:
-        if obs.ACTIVE is not None:
-            obs.ACTIVE.registry.gauge(
-                f"aio.inflight.{self.name}").set(
-                    self.inflight, cycle=core.cycles)
+        if probe.METRIC:
+            probe.metric("gauge", f"aio.inflight.{self.name}",
+                         self.inflight, core.cycles)

@@ -23,7 +23,7 @@ from __future__ import annotations
 from collections import OrderedDict
 from typing import Callable, List, Optional, Union
 
-import repro.obs as obs
+import repro.probe as probe
 from repro.hw.cpu import Core
 from repro.kernel.kernel import BaseKernel
 from repro.kernel.process import Thread
@@ -261,11 +261,10 @@ class Batcher:
             n += 1
             if self.admission is not None:
                 self.admission.release(core)
-            if obs.ACTIVE is not None:
-                obs.ACTIVE.registry.histogram(
-                    "aio.req_latency_cycles").observe(
-                        core.cycles - future.latency_base,
-                        cycle=core.cycles)
+            if probe.METRIC:
+                probe.metric("histogram", "aio.req_latency_cycles",
+                             core.cycles - future.latency_base,
+                             core.cycles)
             if self.on_complete is not None:
                 self.on_complete(future)
         if not self._pending:

@@ -33,7 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
-import repro.obs as obs
+import repro.probe as probe
 from repro.hw.cpu import Core
 from repro.ipc.transport import Handler
 from repro.kernel.kernel import BaseKernel
@@ -195,10 +195,9 @@ class WorkerPool:
         done = 0
         for worker in self.workers:
             done += worker.batcher.flush()
-            if obs.ACTIVE is not None:
-                obs.ACTIVE.registry.gauge(
-                    f"aio.backlog.{worker.service_name}").set(
-                        worker.backlog, cycle=worker.core.cycles)
+            if probe.METRIC:
+                probe.metric("gauge", f"aio.backlog.{worker.service_name}",
+                             worker.backlog, worker.core.cycles)
         return done
 
     def wait_all(self, futures: Sequence[XPCFuture]) -> list:
@@ -228,10 +227,9 @@ class WorkerPool:
             thief.batcher.adopt(future)
             moved += 1
         self.stolen += moved
-        if moved and obs.ACTIVE is not None:
-            obs.ACTIVE.registry.counter(
-                f"aio.migrated.{self.name}").inc(
-                    moved, cycle=thief.core.cycles)
+        if moved and probe.METRIC:
+            probe.metric("counter", f"aio.migrated.{self.name}", moved,
+                         thief.core.cycles)
         return moved
 
     # -- SLO-driven autoscaling ----------------------------------------
@@ -255,10 +253,9 @@ class WorkerPool:
                         break
         self.active_workers = n
         self.scale_events += 1
-        if obs.ACTIVE is not None:
-            obs.ACTIVE.registry.gauge(
-                f"aio.active_workers.{self.name}").set(
-                    n, cycle=self.wall_cycles)
+        if probe.METRIC:
+            probe.metric("gauge", f"aio.active_workers.{self.name}", n,
+                         self.wall_cycles)
         return n
 
     def autoscale(self, now_cycles: Optional[int] = None) -> int:
@@ -282,11 +279,11 @@ class WorkerPool:
     def _completed(self, index: int, future: XPCFuture) -> None:
         self.completed += 1
         worker = self.workers[index]
-        if obs.ACTIVE is not None:
-            obs.ACTIVE.registry.counter(
-                f"aio.completed.{worker.service_name}").inc(
-                    cycle=worker.core.cycles)
-            obs.ACTIVE.pmu.add(worker.core, "aio.completions", 1)
+        if probe.METRIC:
+            probe.metric("counter", f"aio.completed.{worker.service_name}",
+                         1, worker.core.cycles)
+        if probe.PMU:
+            probe.pmu(worker.core, "aio.completions", 1)
 
     def stats(self) -> dict:
         """Per-worker drain/backlog snapshot (uncharged)."""

@@ -39,7 +39,6 @@ import struct
 from collections import OrderedDict
 from typing import List, NamedTuple, Optional
 
-import repro.obs as obs
 import repro.probe as probe
 from repro.hw.cpu import Core
 from repro.xpc.errors import XPCError
@@ -361,10 +360,10 @@ class XPCRing:
         """
         if probe.INJECT and probe.inject("aio.stale_head") is not None:
             core.tick(core.params.aio_index_reload)
-            if obs.ACTIVE is not None:
-                obs.ACTIVE.registry.counter(
-                    f"aio.stale_head_recovered.{self.name}").inc(
-                        cycle=core.cycles)
+            if probe.METRIC:
+                probe.metric("counter",
+                             f"aio.stale_head_recovered.{self.name}", 1,
+                             core.cycles)
         idx = self._indices()
         head = idx[_SQ_HEAD]
         if head >= idx[_SQ_TAIL]:

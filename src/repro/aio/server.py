@@ -24,7 +24,6 @@ from __future__ import annotations
 
 from typing import Optional
 
-import repro.obs as obs
 import repro.probe as probe
 from repro.hw.cpu import Core
 from repro.ipc.transport import Handler, RelayPayload
@@ -89,14 +88,13 @@ class RingService:
             self._serve_one(core, ring, sqe)
             drained += 1
         self.drained += drained
-        if obs.ACTIVE is not None:
-            obs.ACTIVE.registry.counter(
-                f"aio.drained.{self.name}").inc(drained, cycle=core.cycles)
-            obs.ACTIVE.registry.histogram(
-                f"aio.batch_size.{self.name}").observe(
-                    drained, cycle=core.cycles)
-            obs.ACTIVE.pmu.add(core, "cycles.aio.drain",
-                               core.cycles - start)
+        if probe.METRIC:
+            probe.metric("counter", f"aio.drained.{self.name}", drained,
+                         core.cycles)
+            probe.metric("histogram", f"aio.batch_size.{self.name}",
+                         drained, core.cycles)
+        if probe.PMU:
+            probe.pmu(core, "cycles.aio.drain", core.cycles - start)
         return drained
 
     def _serve_one(self, core: Core, ring: XPCRing, sqe) -> None:

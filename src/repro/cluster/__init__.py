@@ -13,8 +13,7 @@ from repro.cluster.fabric import Cluster, ClusterRunStats, default_encoder
 from repro.cluster.hashring import HashRing, stable_hash
 from repro.cluster.loadgen import (DiurnalSchedule, LoadGenerator,
                                    OpenLoopArrivals, Request, ZipfSampler)
-from repro.cluster.metrics import (hot_shard, mirror_to_obs,
-                                   node_rollup, rollup)
+from repro.cluster.metrics import hot_shard, node_rollup, rollup
 from repro.cluster.naming import ShardedNameServer
 from repro.cluster.node import Node, NodeDownError
 from repro.cluster.rpc import ClusterPartitionedError, RpcLink, remote_submit
@@ -27,6 +26,5 @@ __all__ = [
     "NodeDownError", "OpenLoopArrivals", "Request", "RpcLink",
     "ShardedNameServer", "SqliteShard", "StaticShard", "ZipfSampler",
     "default_encoder", "hot_shard", "http_encoder", "kv_encoder",
-    "mirror_to_obs", "node_rollup", "remote_submit", "rollup",
-    "stable_hash",
+    "node_rollup", "remote_submit", "rollup", "stable_hash",
 ]

@@ -1,20 +1,16 @@
-"""Cluster-wide metric rollups and the obs mirror.
+"""Cluster-wide metric rollups.
 
 The fabric keeps its own always-on :class:`MetricsRegistry` (control
 decisions — autoscaling — must be identical whether or not an
 observability session is armed).  This module is the read side: a
 :func:`rollup` over that registry plus the per-node simulator state,
-shaped for the capacity report, and :func:`mirror_to_obs`, which copies
-the fabric's counters into an active :mod:`repro.obs` session *after*
-a run so cluster metrics appear alongside kernel/aio metrics in obs
-reports without ever feeding back into control.
+shaped for the capacity report, and :func:`hot_shard`, the node that
+served the most requests.
 """
 
 from __future__ import annotations
 
 from typing import Optional
-
-import repro.obs as obs
 
 
 def node_rollup(cluster, node) -> dict:
@@ -78,32 +74,3 @@ def hot_shard(cluster) -> Optional[str]:
         if served > count:
             busiest, count = node.name, served
     return busiest
-
-
-def mirror_to_obs(cluster) -> int:
-    """Copy the fabric's counters/gauges into the active obs session.
-
-    A one-way, after-the-fact export (no-op without a session): obs
-    never becomes an input to the fabric's control loop, so runs stay
-    cycle-identical with obs on or off.  Returns metrics mirrored.
-    """
-    if obs.ACTIVE is None:
-        return 0
-    registry = obs.ACTIVE.registry
-    mirrored = 0
-    for name in cluster.registry.names():
-        metric = cluster.registry.get(name)
-        if metric.kind == "counter":
-            target = registry.counter(name)
-            delta = metric.value - target.value
-            if delta > 0:
-                target.inc(delta, cycle=metric.updated_cycle)
-        elif metric.kind == "gauge":
-            registry.gauge(name).set(metric.value,
-                                     cycle=metric.updated_cycle)
-        else:
-            target = registry.histogram(name)
-            for sample in metric.samples:
-                target.observe(sample, cycle=metric.updated_cycle)
-        mirrored += 1
-    return mirrored

@@ -21,8 +21,6 @@ No simulator layer imports this package.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-
 import repro.probe as probe
 from repro.faults.plan import (FaultEvent, FaultPlan, FaultPlanError,
                                FaultSpec)
@@ -34,16 +32,8 @@ __all__ = [
 ]
 
 
-@contextmanager
 def active(plan: FaultPlan):
     """Arm *plan* at the probe's ``inject`` site for the duration of
     the block, restoring whatever plan was armed before, so nested
     scopes compose."""
-    prev = probe.subscribe("faults", {"inject": plan.fire})
-    try:
-        yield plan
-    finally:
-        if prev is None:
-            probe.unsubscribe("faults")
-        else:
-            probe.subscribe("faults", prev)
+    return probe.subscribed("faults", {"inject": plan.fire}, plan)

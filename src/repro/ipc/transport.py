@@ -26,6 +26,8 @@ import abc
 from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Tuple
 
+import repro.probe as probe
+
 Handler = Callable[[tuple, "Payload"], Tuple[tuple, Optional[bytes]]]
 
 
@@ -129,6 +131,26 @@ class RelayPayload(Payload):
 
     def __len__(self) -> int:
         return self._used
+
+
+def watched_op(core, service: str, dispatch: Callable, meta: tuple,
+               payload: Payload):
+    """Run ``dispatch(op, meta, payload)`` for ``op = meta[0]`` as one
+    server op: a ``<service>:<op>`` span and its cycles fed to the
+    ``<service>.op_cycles.<op>`` histogram.  Servers call it only while
+    the probe's ``span`` or ``metric`` site is watched."""
+    op = meta[0]
+    span = (probe.span(core, f"{service}:{op}", "service") if probe.SPAN
+            else None)
+    start = core.cycles
+    try:
+        return dispatch(op, meta, payload)
+    finally:
+        if probe.METRIC:
+            probe.metric("histogram", f"{service}.op_cycles.{op}",
+                         core.cycles - start, core.cycles)
+        if span is not None:
+            probe.span_end(core, span)
 
 
 @dataclass

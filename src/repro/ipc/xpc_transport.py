@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from typing import Dict, Optional, Tuple
 
-import repro.obs as obs
 import repro.probe as probe
 from repro.hw.cpu import Core
 from repro.ipc.transport import RelayPayload, ServerRegistration, Transport
@@ -148,20 +147,20 @@ class XPCTransport(Transport):
         self.call_count += 1
         self.bytes_moved += len(payload)
         span = None
-        if obs.ACTIVE is not None:
+        if probe.SPAN or probe.METRIC:
             obs_core = self.current_core
-            span = obs.ACTIVE.spans.begin(
-                obs_core, f"call:{service.name}", cat="transport",
-                sid=sid, bytes=len(payload))
-            obs.ACTIVE.registry.histogram(
-                "transport.payload_bytes").observe(
-                    len(payload), cycle=obs_core.cycles)
+            if probe.SPAN:
+                span = probe.span(obs_core, f"call:{service.name}",
+                                  "transport", sid=sid, bytes=len(payload))
+            if probe.METRIC:
+                probe.metric("histogram", "transport.payload_bytes",
+                             len(payload), obs_core.cycles)
         try:
             return self._call(service, meta, payload, reply_capacity,
                               window_slice)
         finally:
-            if span is not None and obs.ACTIVE is not None:
-                obs.ACTIVE.spans.end(obs_core, span)
+            if span is not None:
+                probe.span_end(obs_core, span)
 
     def _call(self, service: XPCService, meta: tuple, payload: bytes,
               reply_capacity: int, window_slice) -> Tuple[tuple, bytes]:

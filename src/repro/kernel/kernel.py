@@ -23,7 +23,6 @@ from __future__ import annotations
 import itertools
 from typing import Callable, Dict, List, Optional, Tuple
 
-import repro.obs as obs
 import repro.probe as probe
 from repro.hw.cpu import Core, TrapCause
 from repro.hw.machine import Machine
@@ -311,32 +310,36 @@ class BaseKernel:
         e.g. capacity so small nothing is resident, and the caller must
         give up).
         """
-        with obs.prof_frame(core, "kernel:link_spill"):
-            core.trap(TrapCause.XPC_EXCEPTION)
-            stack = thread.xpc.link_stack
-            spilled = stack.spill(max(1, stack.capacity // 2))
-            core.tick(spilled * _LINK_SPILL_PER_RECORD)
-            core.trap_return()
-        if obs.ACTIVE is not None:
-            obs.ACTIVE.registry.counter("kernel.link_spills").inc(
-                cycle=core.cycles)
-            obs.ACTIVE.registry.counter("kernel.link_spilled_records").inc(
-                spilled, cycle=core.cycles)
+        frame = (probe.frame(core, "kernel:link_spill") if probe.FRAME
+                 else None)
+        core.trap(TrapCause.XPC_EXCEPTION)
+        stack = thread.xpc.link_stack
+        spilled = stack.spill(max(1, stack.capacity // 2))
+        core.tick(spilled * _LINK_SPILL_PER_RECORD)
+        core.trap_return()
+        if frame is not None:
+            probe.frame_end(core, frame)
+        if probe.METRIC:
+            probe.metric("counter", "kernel.link_spills", 1, core.cycles)
+            probe.metric("counter", "kernel.link_spilled_records",
+                         spilled, core.cycles)
         return spilled
 
     def handle_link_underflow(self, core: Core, thread: Thread) -> int:
         """Trap handler for :class:`LinkStackUnderflowError`: refill the
         SRAM stack from the kernel spill area so the faulting ``xret``
         can retry.  Returns the number of records refilled."""
-        with obs.prof_frame(core, "kernel:link_refill"):
-            core.trap(TrapCause.XPC_EXCEPTION)
-            stack = thread.xpc.link_stack
-            refilled = stack.unspill()
-            core.tick(refilled * _LINK_SPILL_PER_RECORD)
-            core.trap_return()
-        if obs.ACTIVE is not None:
-            obs.ACTIVE.registry.counter("kernel.link_refills").inc(
-                cycle=core.cycles)
+        frame = (probe.frame(core, "kernel:link_refill") if probe.FRAME
+                 else None)
+        core.trap(TrapCause.XPC_EXCEPTION)
+        stack = thread.xpc.link_stack
+        refilled = stack.unspill()
+        core.tick(refilled * _LINK_SPILL_PER_RECORD)
+        core.trap_return()
+        if frame is not None:
+            probe.frame_end(core, frame)
+        if probe.METRIC:
+            probe.metric("counter", "kernel.link_refills", 1, core.cycles)
         return refilled
 
     def preempt(self, core: Core) -> None:
@@ -347,13 +350,14 @@ class BaseKernel:
         is just a normal timer trap in the callee's context — nothing
         XPC-specific needs saving beyond what the trap already saves.
         """
-        with obs.prof_frame(core, "kernel:preempt"):
-            core.trap(TrapCause.TIMER)
-            core.tick(self.params.sched_pick)
-            core.trap_return()
-        if obs.ACTIVE is not None:
-            obs.ACTIVE.registry.counter("kernel.preemptions").inc(
-                cycle=core.cycles)
+        frame = probe.frame(core, "kernel:preempt") if probe.FRAME else None
+        core.trap(TrapCause.TIMER)
+        core.tick(self.params.sched_pick)
+        core.trap_return()
+        if frame is not None:
+            probe.frame_end(core, frame)
+        if probe.METRIC:
+            probe.metric("counter", "kernel.preemptions", 1, core.cycles)
 
     # ------------------------------------------------------------------
     # Process termination (§4.2, §4.4)
@@ -377,20 +381,20 @@ class BaseKernel:
             thread.alive = False
             thread.sched.runnable = False
         mode = "lazy" if lazy else "eager"
+        cost = _KILL_ZAP_CYCLES
         if lazy:
             process.aspace.page_table.zap()
-            if core is not None:
-                with obs.prof_frame(core, f"kernel:kill_{mode}"):
-                    core.tick(_KILL_ZAP_CYCLES)
         else:
-            scanned = 0
             for thread in self.threads:
-                scanned += thread.xpc.link_stack.depth
+                cost += (thread.xpc.link_stack.depth
+                         * _LINK_SCAN_PER_RECORD)
                 thread.xpc.link_stack.invalidate_records_of(process.aspace)
-            if core is not None:
-                with obs.prof_frame(core, f"kernel:kill_{mode}"):
-                    core.tick(_KILL_ZAP_CYCLES
-                              + scanned * _LINK_SCAN_PER_RECORD)
+        if core is not None:
+            frame = (probe.frame(core, f"kernel:kill_{mode}")
+                     if probe.FRAME else None)
+            core.tick(cost)
+            if frame is not None:
+                probe.frame_end(core, frame)
         # Revoke the entries it served.
         for entry_id in list(process.xentries):
             entry = self.machine.xentry_table.peek(entry_id)
@@ -406,9 +410,9 @@ class BaseKernel:
                     owner is None or getattr(owner, "process", None)
                     is process):
                 self.revoke_relay_seg(seg)
-        if obs.ACTIVE is not None:
-            obs.ACTIVE.registry.counter(f"kernel.kills.{mode}").inc(
-                cycle=core.cycles if core is not None else None)
+        if probe.METRIC:
+            probe.metric("counter", f"kernel.kills.{mode}", 1,
+                         core.cycles if core is not None else None)
         for hook in self.death_hooks:
             hook(process)
 
@@ -420,10 +424,8 @@ class BaseKernel:
         exactly the A→B→C recovery of §4.2.  Returns the restored record,
         or None if the whole chain is gone.
         """
-        with obs.prof_frame(core, "kernel:repair_return"):
-            return self._repair_return_body(core, thread)
-
-    def _repair_return_body(self, core: Core, thread: Thread):
+        frame = (probe.frame(core, "kernel:repair_return") if probe.FRAME
+                 else None)
         core.trap(TrapCause.XPC_EXCEPTION)
         stack = thread.xpc.link_stack
         restored = None
@@ -449,9 +451,10 @@ class BaseKernel:
             restore_caller(thread.xpc, restored)
             core.set_address_space(restored.caller_aspace)
         core.trap_return()
-        if obs.ACTIVE is not None:
-            obs.ACTIVE.registry.counter("kernel.repairs").inc(
-                cycle=core.cycles)
+        if probe.METRIC:
+            probe.metric("counter", "kernel.repairs", 1, core.cycles)
+        if frame is not None:
+            probe.frame_end(core, frame)
         return restored
 
     def _aspace_is_dead(self, aspace: AddressSpace) -> bool:

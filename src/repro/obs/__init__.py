@@ -11,17 +11,17 @@ One :class:`ObsSession` bundles the three measurement surfaces:
 * :class:`~repro.obs.span.SpanTracer` — causally-nested spans along the
   xcall chain, exportable as Chrome ``trace_event`` JSON (Perfetto).
 
-Machine events reach a session as a :mod:`repro.probe` subscriber
-(installing it subscribes it).  Application metrics go straight to the
-installed session's registry (null-sink default: the disarmed cost is
-a single global attribute check):
+Everything reaches a session as a :mod:`repro.probe` subscriber:
+machine events, application metrics, spans and profiler frames alike.
+An instrumented layer names a site and never sees the session (the
+disarmed cost is one global truth test)::
 
-    import repro.obs as obs
+    import repro.probe as probe
     ...
-    if obs.ACTIVE is not None:
-        obs.ACTIVE.registry.counter("kernel.repairs").inc(cycle=now)
+    if probe.METRIC:
+        probe.metric("counter", "kernel.repairs", 1, core.cycles)
 
-and in a test / benchmark driver:
+and a test / benchmark driver arms a session for a scope:
 
     with obs.active(obs.ObsSession()) as session:
         run_workload()
@@ -35,7 +35,6 @@ state, so obs-on and obs-off runs produce byte-identical cycle counts
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from typing import Optional
 
 import repro.probe as probe
@@ -47,15 +46,10 @@ from repro.obs.registry import (Counter, Gauge, Histogram,
 from repro.obs.span import Span, SpanTracer
 
 __all__ = [
-    "ACTIVE", "Counter", "CycleProfiler", "Gauge", "Histogram",
-    "MetricsRegistry", "ObsSession", "PMU", "PMUSnapshot",
-    "ProfileNode", "Span", "SpanTracer", "active", "diff_collapsed",
-    "install", "prof_frame",
+    "Counter", "CycleProfiler", "Gauge", "Histogram", "MetricsRegistry",
+    "ObsSession", "PMU", "PMUSnapshot", "ProfileNode", "Span",
+    "SpanTracer", "active", "diff_collapsed",
 ]
-
-#: The installed session, or None.  Instrumented hot paths check this
-#: before doing anything, so the disarmed cost is one global load.
-ACTIVE: Optional["ObsSession"] = None
 
 
 class ObsSession:
@@ -67,7 +61,7 @@ class ObsSession:
         self.pmu = PMU()
         self.spans = SpanTracer(capacity=span_capacity)
         #: Cycle-attribution profiler, or None (the default: profiling
-        #: off adds nothing beyond the existing ACTIVE check).
+        #: off leaves the probe's tick and frame sites unwatched).
         self.profiler: Optional[CycleProfiler] = (
             CycleProfiler() if profile else None)
         self.spans.profiler = self.profiler
@@ -75,21 +69,26 @@ class ObsSession:
     # -- probe subscription (repro.probe sites) ------------------------
     def probe_handlers(self) -> dict:
         """``{site: handler}`` for :func:`repro.probe.subscribe`: tick
-        only when profiling, so ``Core.tick`` stays free otherwise."""
+        and frame only when profiling, so ``Core.tick`` and the frame
+        sites stay free otherwise."""
         handlers = {
             "machine": self.pmu.attach_machine,
             "kernel": self.pmu.attach_kernel, "phase": self._on_phase,
             "trap": self._on_trap, "as_switch": self._on_as_switch,
             "xcall": self._on_xcall, "xret": self._on_xret,
-            "repair": self._on_repair, "fault": self.on_fault,
+            "repair": self._on_repair, "metric": self._on_metric,
+            "pmu": self.pmu.add, "span": self.spans.begin,
+            "span_end": self.spans.end, "fault": self.on_fault,
         }
         if self.profiler is not None:
             handlers["tick"] = self.profiler.on_tick
+            handlers["frame"] = self.profiler.open_frame
+            handlers["frame_end"] = self.profiler.close_frame
         return handlers
 
     def attach(self, machine, kernel=None) -> "ObsSession":
         """Register a machine (and kernel) built before this session
-        was installed."""
+        was armed."""
         self.pmu.attach_machine(machine)
         if kernel is not None:
             self.pmu.attach_kernel(kernel)
@@ -133,6 +132,15 @@ class ObsSession:
         # only closer of the span its xcall opened.
         self._on_xret(core, record, repaired=True, restored=restored)
 
+    def _on_metric(self, kind: str, name: str, value, cycle) -> None:
+        registry = self.registry
+        if kind == "counter":
+            registry.counter(name).inc(value, cycle=cycle)
+        elif kind == "gauge":
+            registry.gauge(name).set(value, cycle=cycle)
+        else:
+            registry.histogram(name).observe(value, cycle=cycle)
+
     def on_fault(self, point: str, action: dict) -> None:
         """An armed fault fired: count it and pin it to the timeline."""
         self.registry.counter(f"faults.injected.{point}").inc()
@@ -160,39 +168,7 @@ class ObsSession:
         return artifact
 
 
-@contextmanager
-def prof_frame(core, label: str):
-    """Open a profiler attribution frame around the block, iff the
-    installed session is profiling.  Callers need no guard (the
-    kernel's trap handlers call it bare): disarmed, it costs one global
-    load plus the generator behind the ``with``."""
-    session = ACTIVE
-    profiler = session.profiler if session is not None else None
-    if profiler is None:
-        yield None
-        return
-    with profiler.frame(core, label):
-        yield profiler
-
-
-def install(session: Optional[ObsSession]) -> None:
-    """Make *session* the installed one (None uninstalls): it becomes
-    ``ACTIVE`` and the probe subscriber under the ``"obs"`` key."""
-    global ACTIVE
-    ACTIVE = session
-    if session is None:
-        probe.unsubscribe("obs")
-    else:
-        probe.subscribe("obs", session.probe_handlers())
-
-
-@contextmanager
 def active(session: ObsSession):
-    """Install *session* for the duration of the block (restoring the
-    previous session, so nested scopes compose)."""
-    prev = ACTIVE
-    install(session)
-    try:
-        yield session
-    finally:
-        install(prev)
+    """Subscribe *session* to the probe for the duration of the block,
+    restoring the outer session after it, so nested scopes compose."""
+    return probe.subscribed("obs", session.probe_handlers(), session)

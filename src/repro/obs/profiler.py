@@ -10,8 +10,9 @@ window (:meth:`CycleProfiler.complete` asserts exactly that).
 Attribution context comes from three sources, all free when disarmed:
 
 * **frames** — instrumented layers open a frame around a causal unit of
-  work (``xpclib:call#3``, ``kernel:link_spill``); frames nest per core,
-  forming the call path;
+  work (``xpclib:call#3``, ``kernel:link_spill``) at the probe's
+  ``frame``/``frame_end`` sites; frames nest per core, forming the call
+  path;
 * **the span bridge** — every :class:`~repro.obs.span.SpanTracer` span
   begin/end also pushes/pops a profiler frame, so the existing span
   instrumentation (engine xcall windows, service handlers, fs/net ops)
@@ -32,7 +33,6 @@ cycle-identical (CI byte-compares fig5/fig7 results both ways).
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 
@@ -73,10 +73,10 @@ class CycleProfiler:
     """Per-core attribution stacks over the single charging primitive.
 
     ``on_tick`` is called by :meth:`repro.hw.cpu.Core.tick` whenever a
-    session with a profiler is installed; everything else is free
-    bookkeeping around it.  Stacks are keyed by ``core_id`` (stable
-    across snapshot/restore, unlike ``id(core)``), so a deepcopied
-    profiler keeps attributing against the copied machine.
+    session with a profiler is subscribed to the probe; everything else
+    is free bookkeeping around it.  Stacks are keyed by ``core_id``
+    (stable across snapshot/restore, unlike ``id(core)``), so a
+    deepcopied profiler keeps attributing against the copied machine.
     """
 
     def __init__(self) -> None:
@@ -135,18 +135,20 @@ class CycleProfiler:
         else:
             self.mismatched_pops += 1
 
-    @contextmanager
-    def frame(self, core, label: str):
-        """``with profiler.frame(core, "kernel:spill"): ...``"""
-        stack = self._ensure(core)
-        depth = len(stack)
+    def open_frame(self, core, label: str) -> int:
+        """Push frame *label* on *core*; returns the depth
+        :meth:`close_frame` truncates back to (the probe's ``frame``
+        site)."""
+        depth = len(self._ensure(core))
         self.push(core, label)
-        try:
-            yield
-        finally:
-            inner = self._stacks.get(core.core_id)
-            if inner is not None and len(inner) > depth:
-                del inner[depth:]
+        return depth
+
+    def close_frame(self, core, depth: int) -> None:
+        """Close the frame :meth:`open_frame` returned *depth* for,
+        and anything still nested inside it."""
+        stack = self._stacks.get(core.core_id)
+        if stack is not None and len(stack) > depth:
+            del stack[depth:]
 
     # -- phase refinement ----------------------------------------------
     def phase_split(self, core,

@@ -1,8 +1,8 @@
 """repro.probe — the one surface the simulator is watched and armed through.
 
-The instrumented layers (hw, xpc, kernel, the XPC transport, the aio
-ring, the runtime trampoline, the devices and the cluster fabric)
-announce each named machine site here, once, behind one guard::
+The instrumented layers (hw, xpc, kernel, runtime, the XPC transport,
+aio, the services, the devices and the cluster fabric) announce each
+named site here, once, behind one guard::
 
     if probe.TRAP:
         probe.trap(core, cause)
@@ -15,6 +15,18 @@ subscribe a ``{site: handler}`` mapping.  Their handlers only observe:
 none ticks or mutates simulator state, so watched runs are
 cycle-identical to unwatched ones.
 
+The sites are machine events (``machine`` … ``access``, in
+:data:`SITES` order), application metrics (``metric`` for counter,
+gauge and histogram feeds; ``pmu`` for a core's event counters), two
+scope pairs and the fault points.  A scope's opening call (``span``,
+``frame``) returns the first token a subscriber hands back, or None;
+its closing call (``span_end``, ``frame_end``) takes the token back::
+
+    token = probe.frame(core, "kernel:preempt") if probe.FRAME else None
+    ...
+    if token is not None:
+        probe.frame_end(core, token)
+
 ``inject`` is the one site whose handler decides.  A fault point asks
 it behind the same guard and applies what comes back::
 
@@ -25,24 +37,29 @@ it behind the same guard and applies what comes back::
 
 The first handler to return an action wins; the action is announced at
 the ``fault`` site before ``inject`` returns it, so observers see every
-injection before the fire site applies it.  ``repro.faults.active``
-subscribes a plan here.  Like :mod:`repro.params`, this module imports
-nothing from the package.
+injection before the fire site applies it.  :func:`subscribed` scopes a
+subscription and puts back what its key held before: ``faults.active``
+(a plan at ``inject``), ``obs.active`` and ``san.active`` are built on
+it.  Like :mod:`repro.params`, this module imports nothing from the
+package.
 """
 
 from __future__ import annotations
 
 from collections import deque
+from contextlib import contextmanager
 from typing import (Callable, Dict, Hashable, Iterable, List, NamedTuple,
                     Optional, Tuple)
 
 SITES = ("machine", "kernel", "tick", "phase", "trap", "trap_ret",
          "as_switch", "xcall", "xret", "repair", "swapseg", "handoff",
-         "access", "fault", "inject")
+         "access", "metric", "pmu", "span", "span_end", "frame",
+         "frame_end", "fault", "inject")
 
 #: One tuple of subscribed handlers per site; ``()`` when unwatched.
 MACHINE = KERNEL = TICK = PHASE = TRAP = TRAP_RET = AS_SWITCH = ()
-XCALL = XRET = REPAIR = SWAPSEG = HANDOFF = ACCESS = FAULT = INJECT = ()
+XCALL = XRET = REPAIR = SWAPSEG = HANDOFF = ACCESS = METRIC = PMU = ()
+SPAN = SPAN_END = FRAME = FRAME_END = FAULT = INJECT = ()
 
 _SITE_SET = frozenset(SITES)
 
@@ -68,6 +85,21 @@ def unsubscribe(key: Hashable) -> None:
     prev = _drop(key)
     if prev is not None:
         _rebuild(prev)
+
+
+@contextmanager
+def subscribed(key: Hashable, handlers: Dict[str, Callable], value=None):
+    """Subscribe *handlers* under *key* for the block, which receives
+    *value*, then put back whatever *key* held before, so nested scopes
+    compose."""
+    prev = subscribe(key, handlers)
+    try:
+        yield value
+    finally:
+        if prev is None:
+            unsubscribe(key)
+        else:
+            subscribe(key, prev)
 
 
 def _drop(key: Hashable) -> Optional[Dict[str, Callable]]:
@@ -154,6 +186,53 @@ def handoff(obj, label: str, via: str) -> None:     # §3.3 owner change
 def access(core, obj, label: str, site: str, kind: str) -> None:
     for fn in ACCESS:
         fn(core, obj, label, site, kind)
+
+
+def metric(kind: str, name: str, value, cycle: Optional[int]) -> None:
+    """Feed *value* to the ``"counter"`` (an increment), ``"gauge"`` or
+    ``"histogram"`` *name*, stamped with *cycle*."""
+    for fn in METRIC:
+        fn(kind, name, value, cycle)
+
+
+def pmu(core, event: str, n: int) -> None:  # add n to core's event count
+    for fn in PMU:
+        fn(core, event, n)
+
+
+def span(core, name: str, cat: str, **args):
+    """Open span *name* on *core*.  Every subscriber sees it; the
+    first token one returns is the one to end it with (None when
+    nothing is subscribed)."""
+    token = None
+    for fn in SPAN:
+        mine = fn(core, name, cat, **args)
+        if token is None:
+            token = mine
+    return token
+
+
+def span_end(core, token) -> None:
+    """Close the span *token* opened, and any still open inside it."""
+    for fn in SPAN_END:
+        fn(core, token)
+
+
+def frame(core, label: str):
+    """Open profiler frame *label* on *core*; returns its token like
+    :func:`span` does."""
+    token = None
+    for fn in FRAME:
+        mine = fn(core, label)
+        if token is None:
+            token = mine
+    return token
+
+
+def frame_end(core, token) -> None:
+    """Close the frame *token* opened, and any still open inside it."""
+    for fn in FRAME_END:
+        fn(core, token)
 
 
 def fault(point: str, action: dict) -> None:        # about to inject

@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
-import repro.obs as obs
+import repro.probe as probe
 from repro.hw.cpu import Core
 from repro.kernel.kernel import BaseKernel
 from repro.runtime.xpclib import (XPCBusyError, XPCService,
@@ -151,9 +151,9 @@ class ServiceSupervisor:
             self.kernel.kill_process(sup.process, core=self.core)
         sup.failed = True
         sup.events.append(f"retired at gen={sup.generation}")
-        if obs.ACTIVE is not None:
-            obs.ACTIVE.registry.counter(
-                f"supervisor.retired.{name}").inc(cycle=self.core.cycles)
+        if probe.METRIC:
+            probe.metric("counter", f"supervisor.retired.{name}", 1,
+                         self.core.cycles)
         for listener in self.on_retire:
             listener(name, service)
 
@@ -166,22 +166,21 @@ class ServiceSupervisor:
             if sup.restarts >= sup.policy.max_restarts:
                 sup.failed = True
                 sup.events.append("gave up: restart budget exhausted")
-                if obs.ACTIVE is not None:
-                    obs.ACTIVE.registry.counter(
-                        f"supervisor.gave_up.{sup.name}").inc(
-                            cycle=self.core.cycles)
+                if probe.METRIC:
+                    probe.metric("counter", f"supervisor.gave_up.{sup.name}",
+                                 1, self.core.cycles)
                 continue
             sup.restarts += 1
             delay = sup.policy.backoff(sup.restarts)
             self.core.tick(delay)
             sup.events.append(f"restart #{sup.restarts} after "
                               f"{delay} cycles")
-            if obs.ACTIVE is not None:
-                registry = obs.ACTIVE.registry
-                registry.counter(f"supervisor.restarts.{sup.name}").inc(
-                    cycle=self.core.cycles)
-                registry.histogram("supervisor.backoff_cycles").observe(
-                    delay, cycle=self.core.cycles)
+            if probe.METRIC:
+                now = self.core.cycles
+                probe.metric("counter", f"supervisor.restarts.{sup.name}",
+                             1, now)
+                probe.metric("histogram", "supervisor.backoff_cycles",
+                             delay, now)
             self._start(sup)
             for listener in self.on_restart:
                 listener(sup.name, sup.service)

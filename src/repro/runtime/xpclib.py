@@ -21,7 +21,6 @@ import enum
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
 
-import repro.obs as obs
 import repro.probe as probe
 from repro.hw.cpu import Core
 from repro.kernel.kernel import BaseKernel
@@ -169,9 +168,9 @@ class XPCService:
                                             self.credits_per_caller)
             if left <= 0:
                 self.rejected += 1
-                if obs.ACTIVE is not None:
-                    obs.ACTIVE.registry.counter(
-                        f"xpc.busy.{self.name}").inc(cycle=core.cycles)
+                if probe.METRIC:
+                    probe.metric("counter", f"xpc.busy.{self.name}", 1,
+                                 core.cycles)
                 raise XPCBusyError(f"{self.name}: caller out of credits")
             self._credits[caller_id] = left - 1
         for ctx in self.contexts:
@@ -186,9 +185,9 @@ class XPCService:
                     ctx.in_use = True
                     return ctx
         self.rejected += 1
-        if obs.ACTIVE is not None:
-            obs.ACTIVE.registry.counter(
-                f"xpc.busy.{self.name}").inc(cycle=core.cycles)
+        if probe.METRIC:
+            probe.metric("counter", f"xpc.busy.{self.name}", 1,
+                         core.cycles)
         raise XPCBusyError(f"{self.name}: no idle XPC context")
 
     def _release_context(self, ctx: XPCContext, caller_id) -> None:
@@ -222,11 +221,8 @@ class XPCService:
             if act is not None:
                 self._release_context(ctx, caller_id)
                 self._injected_crash(act)
-        span = None
-        if obs.ACTIVE is not None:
-            span = obs.ACTIVE.spans.begin(
-                core, f"handler:{self.name}", cat="runtime",
-                entry=entry.entry_id)
+        span = (probe.span(core, f"handler:{self.name}", "runtime",
+                           entry=entry.entry_id) if probe.SPAN else None)
         # The migrated thread runs the handler on the calling core
         # (§5.2); services charge, and call onward from, this core.
         kernel = self.kernel
@@ -242,8 +238,8 @@ class XPCService:
         finally:
             kernel.handler_core = outer_core
             self._release_context(ctx, caller_id)
-            if span is not None and obs.ACTIVE is not None:
-                obs.ACTIVE.spans.end(core, span)
+            if span is not None:
+                probe.span_end(core, span)
         if probe.INJECT:
             act = probe.inject("xpc.callee_crash_before_xret")
             if act is not None:
@@ -302,93 +298,86 @@ def xpc_call(core: Core, entry_id: int, *args,
     systems usually set this to 0 or infinite; it exists for fault
     isolation).
     """
-    session = obs.ACTIVE
-    profiler = session.profiler if session is not None else None
-    if profiler is None:
-        return _xpc_call_body(core, entry_id, args, mask, kernel,
-                              timeout_cycles)
-    with profiler.frame(core, f"xpclib:call#{entry_id}"):
-        return _xpc_call_body(core, entry_id, args, mask, kernel,
-                              timeout_cycles)
-
-
-def _xpc_call_body(core: Core, entry_id: int, args,
-                   mask: Optional[SegMask],
-                   kernel: Optional[BaseKernel],
-                   timeout_cycles: Optional[int]):
-    engine = core.xpc_engine
-    if engine is None:
-        raise XPCError("core has no XPC engine")
-    call_start = core.cycles
-    if mask is not None:
-        engine.write_seg_mask(mask)
-    # xcall, retrying through the §4.1 overflow trap: a
-    # LinkStackOverflowError is a recoverable resource condition — the
-    # kernel spills the stack bottom to its own memory and the xcall
-    # retries.  Without a kernel (bare-engine tests) or when nothing can
-    # be spilled, the overflow propagates.
-    while True:
-        try:
-            entry, window = engine.xcall(entry_id)
-            break
-        except LinkStackOverflowError:
-            if (kernel is None or engine.current_thread is None
-                    or kernel.handle_link_overflow(
-                        core, engine.current_thread) == 0):
-                raise
-    # From here exactly one linkage record is ours to unwind.
-    result = None
-    crashed: Optional[BaseException] = None
-    failure: Optional[BaseException] = None
-    start = core.cycles
+    frame = (probe.frame(core, f"xpclib:call#{entry_id}") if probe.FRAME
+             else None)
     try:
-        result = entry.handler(core, engine, entry, window, args)
-    except ProcessCrashFault as exc:
-        crashed = exc
-    except Exception as exc:          # noqa: BLE001 - re-raised below
-        failure = exc
-    timed_out = None
-    if timeout_cycles is not None:
-        used = core.cycles - start
-        if used > timeout_cycles:
-            timed_out = XPCTimeoutError(timeout_cycles, used)
-    # xret once, with kernel assistance.  Underflow into the kernel
-    # spill area refills and retries transparently; a return that had
-    # to be *repaired* because a process in the chain died (§4.2) means
-    # the caller sees XPCPeerDiedError instead of a result.
-    died = False
-    while True:
+        engine = core.xpc_engine
+        if engine is None:
+            raise XPCError("core has no XPC engine")
+        call_start = core.cycles
+        if mask is not None:
+            engine.write_seg_mask(mask)
+        # xcall, retrying through the §4.1 overflow trap: a
+        # LinkStackOverflowError is a recoverable resource condition —
+        # the kernel spills the stack bottom to its own memory and the
+        # xcall retries.  Without a kernel (bare-engine tests) or when
+        # nothing can be spilled, the overflow propagates.
+        while True:
+            try:
+                entry, window = engine.xcall(entry_id)
+                break
+            except LinkStackOverflowError:
+                if (kernel is None or engine.current_thread is None
+                        or kernel.handle_link_overflow(
+                            core, engine.current_thread) == 0):
+                    raise
+        # From here exactly one linkage record is ours to unwind.
+        result = None
+        crashed: Optional[BaseException] = None
+        failure: Optional[BaseException] = None
+        start = core.cycles
         try:
-            engine.xret()
-            break
-        except LinkStackUnderflowError:
-            if (kernel is None or engine.current_thread is None
-                    or kernel.handle_link_underflow(
-                        core, engine.current_thread) == 0):
-                raise
-        except InvalidLinkageError:
-            if (kernel is None or engine.current_thread is None
-                    or kernel.repair_return(
-                        core, engine.current_thread) is None):
-                raise
-            died = True
-            break
-    if obs.ACTIVE is not None:
-        registry = obs.ACTIVE.registry
-        registry.histogram("xpc.call_cycles").observe(
-            core.cycles - call_start, cycle=core.cycles)
+            result = entry.handler(core, engine, entry, window, args)
+        except ProcessCrashFault as exc:
+            crashed = exc
+        except Exception as exc:      # noqa: BLE001 - re-raised below
+            failure = exc
+        timed_out = None
+        if timeout_cycles is not None:
+            used = core.cycles - start
+            if used > timeout_cycles:
+                timed_out = XPCTimeoutError(timeout_cycles, used)
+        # xret once, with kernel assistance.  Underflow into the kernel
+        # spill area refills and retries transparently; a return that
+        # had to be *repaired* because a process in the chain died
+        # (§4.2) means the caller sees XPCPeerDiedError instead of a
+        # result.
+        died = False
+        while True:
+            try:
+                engine.xret()
+                break
+            except LinkStackUnderflowError:
+                if (kernel is None or engine.current_thread is None
+                        or kernel.handle_link_underflow(
+                            core, engine.current_thread) == 0):
+                    raise
+            except InvalidLinkageError:
+                if (kernel is None or engine.current_thread is None
+                        or kernel.repair_return(
+                            core, engine.current_thread) is None):
+                    raise
+                died = True
+                break
+        if probe.METRIC:
+            now = core.cycles
+            probe.metric("histogram", "xpc.call_cycles", now - call_start,
+                         now)
+            if died or crashed is not None:
+                probe.metric("counter", "xpc.peer_died", 1, now)
+            if timed_out is not None:
+                probe.metric("counter", "xpc.timeouts", 1, now)
         if died or crashed is not None:
-            registry.counter("xpc.peer_died").inc(cycle=core.cycles)
+            err = XPCPeerDiedError(entry_id)
+            cause = crashed if crashed is not None else failure
+            if cause is not None:
+                raise err from cause
+            raise err
+        if failure is not None:
+            raise failure
         if timed_out is not None:
-            registry.counter("xpc.timeouts").inc(cycle=core.cycles)
-    if died or crashed is not None:
-        err = XPCPeerDiedError(entry_id)
-        cause = crashed if crashed is not None else failure
-        if cause is not None:
-            raise err from cause
-        raise err
-    if failure is not None:
-        raise failure
-    if timed_out is not None:
-        raise timed_out
-    return result
+            raise timed_out
+        return result
+    finally:
+        if frame is not None:
+            probe.frame_end(core, frame)

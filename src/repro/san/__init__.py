@@ -21,12 +21,12 @@ The model is an epoch-based access log:
   protocol cannot explain — reported as a :class:`SanIssue` carrying
   both access sites (file:line precise).
 
-Like :mod:`repro.obs`, the sanitizer is a pure observer: installing a
+Like :mod:`repro.obs`, the sanitizer is a pure observer: arming a
 session subscribes it to the ``handoff`` and ``access`` sites of
-:mod:`repro.probe`, so disarmed sites cost one global truth test, and
-even armed it never calls ``tick`` or mutates simulator state, so
-XPCSan-on runs are cycle-identical to XPCSan-off (enforced in CI
-exactly like obs).  Arm it per scope::
+:mod:`repro.probe`, and nothing else holds it, so disarmed sites cost
+one global truth test, and even armed it never calls ``tick`` or
+mutates simulator state, so XPCSan-on runs are cycle-identical to
+XPCSan-off (enforced in CI exactly like obs).  Arm it per scope::
 
     import repro.san as san
     with san.active(san.SanSession()) as session:
@@ -41,20 +41,15 @@ from __future__ import annotations
 
 import os
 import sys
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 import repro.probe as probe
 
 __all__ = [
-    "ACTIVE", "SanAccess", "SanIssue", "SanSession", "active",
-    "format_issues", "from_env", "install",
+    "SanAccess", "SanIssue", "SanSession", "active", "format_issues",
+    "from_env",
 ]
-
-#: The installed session, or None.  Instrumented hot paths check this
-#: before doing anything, so the disarmed cost is one global load.
-ACTIVE: Optional["SanSession"] = None
 
 
 @dataclass(frozen=True)
@@ -238,28 +233,12 @@ def format_issues(issues: List[SanIssue]) -> str:
     return "\n".join(lines)
 
 
-def install(session: Optional[SanSession]) -> None:
-    """Make *session* the installed one (None uninstalls): it becomes
-    ``ACTIVE`` and the probe subscriber under the ``"san"`` key."""
-    global ACTIVE
-    ACTIVE = session
-    if session is None:
-        probe.unsubscribe("san")
-    else:
-        probe.subscribe("san", {"handoff": session.handoff,
-                                "access": session.access})
-
-
-@contextmanager
 def active(session: SanSession):
-    """Install *session* for the duration of the block (restoring the
-    previous session, so nested scopes compose)."""
-    prev = ACTIVE
-    install(session)
-    try:
-        yield session
-    finally:
-        install(prev)
+    """Subscribe *session* to the probe's ``handoff`` and ``access``
+    sites for the duration of the block, restoring the outer session
+    after it, so nested scopes compose."""
+    return probe.subscribed("san", {"handoff": session.handoff,
+                                    "access": session.access}, session)
 
 
 def from_env() -> Optional[SanSession]:

@@ -4,8 +4,9 @@ from __future__ import annotations
 
 from typing import Optional, Tuple
 
-import repro.obs as obs
-from repro.ipc.transport import Payload, RelayPayload, Transport
+import repro.probe as probe
+from repro.ipc.transport import (Payload, RelayPayload, Transport,
+                                 watched_op)
 from repro.services.crypto.aes import AES128
 
 OP_ENCRYPT = "encrypt"
@@ -29,20 +30,10 @@ class CryptoServer:
             name, self._handle, server_process, server_thread)
 
     def _handle(self, meta: tuple, payload: Payload):
-        op = meta[0]
-        if obs.ACTIVE is None:
-            return self._dispatch(op, meta, payload)
-        core = self.transport.current_core
-        span = obs.ACTIVE.spans.begin(core, f"crypto:{op}",
-                                      cat="service")
-        start = core.cycles
-        try:
-            return self._dispatch(op, meta, payload)
-        finally:
-            obs.ACTIVE.registry.histogram(
-                f"crypto.op_cycles.{op}").observe(
-                    core.cycles - start, cycle=core.cycles)
-            obs.ACTIVE.spans.end(core, span)
+        if probe.SPAN or probe.METRIC:
+            return watched_op(self.transport.current_core, "crypto",
+                              self._dispatch, meta, payload)
+        return self._dispatch(meta[0], meta, payload)
 
     def _dispatch(self, op, meta: tuple, payload: Payload):
         n, nonce = meta[1], meta[2]

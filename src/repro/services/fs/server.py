@@ -13,9 +13,10 @@ from __future__ import annotations
 
 from typing import Optional, Sequence, Tuple
 
-import repro.obs as obs
+import repro.probe as probe
 from repro.aio.pool import WorkerPool
-from repro.ipc.transport import Payload, RelayPayload, Transport
+from repro.ipc.transport import (Payload, RelayPayload, Transport,
+                                 watched_op)
 from repro.runtime.supervisor import GrantOnRestart
 from repro.services.fs.blockdev import (BlockClient, BlockDeviceError,
                                         BlockServer, RamDisk)
@@ -86,18 +87,10 @@ class FSServer:
 
     # ------------------------------------------------------------------
     def _handle(self, meta: tuple, payload: Payload):
-        op = meta[0]
-        if obs.ACTIVE is None:
-            return self._dispatch(op, meta, payload)
-        span = obs.ACTIVE.spans.begin(self.core, f"fs:{op}",
-                                      cat="service")
-        start = self.core.cycles
-        try:
-            return self._dispatch(op, meta, payload)
-        finally:
-            obs.ACTIVE.registry.histogram(f"fs.op_cycles.{op}").observe(
-                self.core.cycles - start, cycle=self.core.cycles)
-            obs.ACTIVE.spans.end(self.core, span)
+        if probe.SPAN or probe.METRIC:
+            return watched_op(self.core, "fs", self._dispatch,
+                              meta, payload)
+        return self._dispatch(meta[0], meta, payload)
 
     def _dispatch(self, op, meta: tuple, payload: Payload):
         self.core.tick(FS_LOGIC_CYCLES)

@@ -22,7 +22,7 @@ from __future__ import annotations
 import enum
 from typing import Callable, Dict, Optional
 
-import repro.obs as obs
+import repro.probe as probe
 from repro.ipc.transport import Transport
 
 
@@ -137,9 +137,9 @@ class NameServer:
             raise KeyError(f"no service published as {name!r}")
         sid = self._names.pop(name)
         self._breakers.pop(name, None)
-        if obs.ACTIVE is not None:
-            obs.ACTIVE.registry.counter(
-                f"nameserver.unpublished.{name}").inc(cycle=self._clock())
+        if probe.METRIC:
+            probe.metric("counter", f"nameserver.unpublished.{name}", 1,
+                         self._clock())
         return sid
 
     def resolve(self, name: str, requester_thread=None) -> int:
@@ -153,9 +153,9 @@ class NameServer:
             raise KeyError(f"no service published as {name!r}")
         breaker = self._breakers[name]
         if not breaker.allow():
-            if obs.ACTIVE is not None:
-                obs.ACTIVE.registry.counter(
-                    f"nameserver.rejected.{name}").inc(cycle=self._clock())
+            if probe.METRIC:
+                probe.metric("counter", f"nameserver.rejected.{name}", 1,
+                             self._clock())
             raise ServiceUnavailableError(name, breaker.failures)
         if requester_thread is not None:
             self.transport.grant_to_thread(sid, requester_thread)
@@ -168,26 +168,24 @@ class NameServer:
         if breaker is not None:
             trips_before = breaker.trips
             breaker.record_failure()
-            if obs.ACTIVE is not None:
-                registry = obs.ACTIVE.registry
-                registry.counter(f"nameserver.failures.{name}").inc(
-                    cycle=self._clock())
+            if probe.METRIC:
+                probe.metric("counter", f"nameserver.failures.{name}", 1,
+                             self._clock())
                 if breaker.trips > trips_before:
-                    registry.counter(f"nameserver.trips.{name}").inc(
-                        cycle=self._clock())
+                    probe.metric("counter", f"nameserver.trips.{name}", 1,
+                                 self._clock())
                 self._export_state(name, breaker)
 
     def report_success(self, name: str) -> None:
         breaker = self._breakers.get(name)
         if breaker is not None:
             breaker.record_success()
-            if obs.ACTIVE is not None:
+            if probe.METRIC:
                 self._export_state(name, breaker)
 
     def _export_state(self, name: str, breaker: CircuitBreaker) -> None:
-        obs.ACTIVE.registry.gauge(
-            f"nameserver.breaker_state.{name}").set(
-                breaker.state.value, cycle=self._clock())
+        probe.metric("gauge", f"nameserver.breaker_state.{name}",
+                     breaker.state.value, self._clock())
 
     def breaker(self, name: str) -> Optional[CircuitBreaker]:
         return self._breakers.get(name)

@@ -10,9 +10,10 @@ from __future__ import annotations
 
 from typing import Optional, Sequence, Tuple
 
-import repro.obs as obs
+import repro.probe as probe
 from repro.aio.pool import WorkerPool
-from repro.ipc.transport import Payload, RelayPayload, Transport
+from repro.ipc.transport import (Payload, RelayPayload, Transport,
+                                 watched_op)
 from repro.runtime.supervisor import GrantOnRestart
 from repro.services.net.loopback import LoopbackServer
 from repro.services.net.stack import NetStack
@@ -58,18 +59,10 @@ class NetServer:
         return pool
 
     def _handle(self, meta: tuple, payload: Payload):
-        op = meta[0]
-        if obs.ACTIVE is None:
-            return self._dispatch(op, meta, payload)
-        core = self.transport.current_core
-        span = obs.ACTIVE.spans.begin(core, f"net:{op}", cat="service")
-        start = core.cycles
-        try:
-            return self._dispatch(op, meta, payload)
-        finally:
-            obs.ACTIVE.registry.histogram(f"net.op_cycles.{op}").observe(
-                core.cycles - start, cycle=core.cycles)
-            obs.ACTIVE.spans.end(core, span)
+        if probe.SPAN or probe.METRIC:
+            return watched_op(self.transport.current_core, "net",
+                              self._dispatch, meta, payload)
+        return self._dispatch(meta[0], meta, payload)
 
     def _dispatch(self, op, meta: tuple, payload: Payload):
         stack = self.stack

@@ -19,13 +19,12 @@ Two shapes cover the stack:
   tests), whose ops are module-level callables ``op(world) ->
   outcome`` so a recorded op list replays against any restored copy.
 
-``step`` is the only way a world advances, and each step installs the
+``step`` is the only way a world advances, and each step arms the
 world's own obs/faults sessions around the op.  That makes the op
 boundary a quiescent point: everything context-managed during an op is
 torn back down before a checkpoint is taken, so a restored world
 resumes with plain ``step`` calls and no ambient globals to rebuild.
-If an outer driver already installed this world's obs session,
-``step`` leaves it in place.
+Whatever session an outer driver armed is restored when the op ends.
 """
 
 from __future__ import annotations
@@ -71,7 +70,7 @@ class ExecutorWorld:
         """Run one grammar op; record outcome and per-op deltas."""
         cycles0 = self.executor.core.cycles
         ipc0 = self.executor._ipc_total()
-        if self.obs is not None and obs.ACTIVE is not self.obs:
+        if self.obs is not None:
             with obs.active(self.obs):
                 outcome = self.executor.step(op)
         else:
@@ -101,8 +100,8 @@ class SimWorld:
     * ``plan`` — a :class:`~repro.faults.FaultPlan` installed around
       every op (per-op arming is trace-identical to whole-run arming:
       nothing fires between ops);
-    * ``obs`` — an :class:`~repro.obs.ObsSession` installed around
-      every op (unless an outer driver already installed it);
+    * ``obs`` — an :class:`~repro.obs.ObsSession` armed around every
+      op;
     * ``core`` — the core whose cycle counter stamps snapshots.
 
     Deliberately *not* ``__snap_state__``-disciplined: open attributes
@@ -131,7 +130,7 @@ class SimWorld:
         return outcome
 
     def _execute(self, op):
-        if self.obs is not None and obs.ACTIVE is not self.obs:
+        if self.obs is not None:
             with obs.active(self.obs):
                 return self._execute_faulted(op)
         return self._execute_faulted(op)

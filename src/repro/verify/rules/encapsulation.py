@@ -81,7 +81,7 @@ BOUNDARIES: Dict[str, Boundary] = {
         advice="go through the XPCRing push/pop/reset API so the "
                "mutation is cycle-charged and invariant-checked"),
     "obs": Boundary(
-        surfaces=frozenset({"registry", "pmu", "spans", "ACTIVE"}),
+        surfaces=frozenset({"registry", "pmu", "spans"}),
         surface_kind="an obs surface",
         protected=frozenset({"counters", "gauges", "histograms", "banks",
                              "_metrics", "_core_banks", "_kernel_banks"}),

@@ -23,8 +23,9 @@ The reproduction is layered like the system it models:
   engine stack and the table-driven fast core, and the proptest
   executors and the oracle they are diffed against — and keep
   :mod:`repro.probe` the one surface observers watch the machine
-  through: the machine model may not import an observer, and no layer
-  below the fuzz harness reads XPCSan directly.
+  through: no machine layer (hw up to services and apps) may import
+  :mod:`repro.obs` or :mod:`repro.san`, so the machine knows only site
+  names and never an observer's object graph.
 
 Relative imports are resolved to absolute names and checked like any
 other import.
@@ -57,28 +58,24 @@ ALLOWED_IMPORTS = {
     "fastcore": {"params"},
     "hw": {"params", "probe"},
     "xpc": {"hw", "params", "probe"},
-    "kernel": {"xpc", "hw", "params", "obs", "probe"},
-    "runtime": {"kernel", "xpc", "hw", "params", "obs", "probe"},
-    "ipc": {"runtime", "kernel", "xpc", "hw", "params", "obs", "probe"},
-    "sel4": {"ipc", "runtime", "kernel", "xpc", "hw", "params", "obs",
-             "san"},
-    "zircon": {"ipc", "runtime", "kernel", "xpc", "hw", "params", "obs",
-               "san"},
-    "binder": {"ipc", "runtime", "kernel", "xpc", "hw", "params", "obs",
-               "san"},
+    "kernel": {"xpc", "hw", "params", "probe"},
+    "runtime": {"kernel", "xpc", "hw", "params", "probe"},
+    "ipc": {"runtime", "kernel", "xpc", "hw", "params", "probe"},
+    "sel4": {"ipc", "runtime", "kernel", "xpc", "hw", "params"},
+    "zircon": {"ipc", "runtime", "kernel", "xpc", "hw", "params"},
+    "binder": {"ipc", "runtime", "kernel", "xpc", "hw", "params"},
     "services": {"aio", "ipc", "runtime", "kernel", "xpc", "hw", "params",
-                 "analysis", "obs", "san", "probe"},
+                 "analysis", "probe"},
     # Async/batched XPC sits between ipc and services: it builds on the
     # transport's payload surface and the runtime library, and the
     # service servers adopt it for their batched front-ends.
-    "aio": {"ipc", "runtime", "kernel", "xpc", "hw", "params", "obs",
-            "probe"},
-    "apps": {"services", "ipc", "runtime", "kernel", "xpc", "hw", "params",
-             "obs", "san"},
+    "aio": {"ipc", "runtime", "kernel", "xpc", "hw", "params", "probe"},
+    "apps": {"services", "ipc", "runtime", "kernel", "xpc", "hw",
+             "params"},
     # Side packages: measurement and analysis tooling.
     # ``obs`` sits beside ``probe`` at the bottom: a pure observer
-    # (counters, spans, PMU sampling) that never charges cycles, fed
-    # machine events by the probe and application metrics directly.
+    # (counters, spans, PMU sampling, profiler frames) that never
+    # charges cycles, fed everything it records by the probe.
     "obs": {"params", "probe", "analysis"},
     # ``san`` (XPCSan) is another bottom-layer pure observer: it
     # subscribes to the probe's ownership-handoff and access sites.
@@ -87,9 +84,9 @@ ALLOWED_IMPORTS = {
     "gem5": {"params", "hw"},
     "hwcost": {"params"},
     "compare": {"params"},
-    "tools": {"analysis", "params", "obs"},
+    "tools": {"analysis", "params"},
     "verify": {"runtime", "kernel", "xpc", "hw", "params", "faults",
-               "analysis", "obs", "probe"},
+               "analysis", "probe"},
     # Differential fuzzing drives every mechanism (and the analytic
     # model) from above, so it sits at the top of the stack alongside
     # apps; nothing may import *it*.  It runs verify's protocol
@@ -106,7 +103,7 @@ ALLOWED_IMPORTS = {
     # layer.
     "snap": {"proptest", "verify", "compare", "aio", "ipc", "sel4",
              "zircon", "services", "runtime", "kernel", "xpc", "hw",
-             "params", "faults", "obs", "san", "analysis", "probe"},
+             "params", "faults", "obs", "analysis", "probe"},
     # Profiling/SLO/sentry tooling sits above snap: the sentry drives
     # recorders and time travel, and the flame CLI runs snap
     # scenarios.  The in-simulation
@@ -115,19 +112,23 @@ ALLOWED_IMPORTS = {
     # nothing below imports repro.prof.
     "prof": {"snap", "proptest", "verify", "compare", "aio", "ipc",
              "sel4", "zircon", "services", "runtime", "kernel", "xpc",
-             "hw", "params", "faults", "obs", "san", "analysis"},
+             "hw", "params", "faults", "obs", "analysis"},
     # The multi-node serving fabric sits at the very top: a Node wraps a
     # whole machine + kernel + pools, the fabric consumes the SLO engine
     # for autoscaling, and the shard services reuse the real apps.
     # Nothing below imports repro.cluster.
     "cluster": {"prof", "aio", "ipc", "sel4", "services", "apps",
-                "runtime", "kernel", "xpc", "hw", "params", "obs", "san",
+                "runtime", "kernel", "xpc", "hw", "params", "obs",
                 "analysis", "probe"},
 }
 
 #: Reference-side units that may never import repro.fastcore.
 REFERENCE_UNITS = ("hw", "xpc", "kernel", "runtime", "ipc", "sel4",
                    "zircon", "binder")
+
+#: The machine: every unit that announces probe sites or builds on
+#: one that does.  None of them may import an observer.
+MACHINE_UNITS = REFERENCE_UNITS + ("aio", "services", "apps")
 
 #: Import edges that must not exist, checked before ALLOWED_IMPORTS so
 #: widening the layer map can never re-open them.  Each row is
@@ -150,14 +151,13 @@ FORBIDDEN_IMPORTS: Tuple[Tuple[Tuple[str, ...], Tuple[str, ...],
      ("repro.proptest.oracle",), (),
      "executors and the generator must earn outcomes through the real "
      "mechanisms, not read them off the reference model"),
-    (("repro.hw", "repro.xpc"),
-     ("repro.obs", "repro.san", "repro.analysis"), (),
-     "the machine model announces its sites through repro.probe only; "
+    (tuple(f"repro.{unit}" for unit in MACHINE_UNITS),
+     ("repro.obs", "repro.san"), (),
+     "the machine announces its sites through repro.probe only; "
      "observers subscribe there"),
-    (("repro.kernel", "repro.ipc", "repro.aio", "repro.runtime"),
-     ("repro.san",), (),
-     "XPCSan is armed by subscribing to repro.probe's handoff and access "
-     "sites, never read at the call site"),
+    (("repro.hw", "repro.xpc"), ("repro.analysis",), (),
+     "the silicon and the engine model hardware; analysis tooling "
+     "reads them from above"),
 )
 
 #: Modules of repro.hw that form its public, architectural surface.

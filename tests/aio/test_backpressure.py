@@ -3,6 +3,7 @@
 import pytest
 
 import repro.obs as obs
+import repro.probe as probe
 from repro.aio import (AdmissionController, AdmissionPolicy,
                        XPCRingFullError)
 from repro.hw.machine import Machine
@@ -84,7 +85,8 @@ class TestWiring:
             assert session.registry.gauge("aio.inflight.bp").value == 0
             assert session.registry.counter(
                 "aio.admission_rejected.bp").value == 1
-        assert obs.ACTIVE is None
+        assert all(getattr(probe, site.upper()) == ()
+                   for site in session.probe_handlers())
 
     def test_health_reports_failure_and_success(self):
         class Health:

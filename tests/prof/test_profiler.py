@@ -5,6 +5,7 @@ import copy
 import pytest
 
 import repro.obs as obs
+import repro.probe as probe
 from repro.hw.machine import Machine
 from repro.obs.profiler import CycleProfiler, diff_collapsed
 
@@ -30,11 +31,13 @@ def test_frames_nest_and_attribute_self_cycles(machine):
     core = machine.core0
     with obs.active(session):
         prof = session.profiler
-        with prof.frame(core, "outer"):
-            core.tick(5)
-            with prof.frame(core, "inner"):
-                core.tick(2)
-            core.tick(1)
+        outer = probe.frame(core, "outer")
+        core.tick(5)
+        inner = probe.frame(core, "inner")
+        core.tick(2)
+        probe.frame_end(core, inner)
+        core.tick(1)
+        probe.frame_end(core, outer)
         core.tick(4)
     assert prof.collapsed() == {
         "core0": 4,
@@ -49,12 +52,13 @@ def test_phase_split_decomposes_one_tick(machine):
     core = machine.core0
     with obs.active(session):
         prof = session.profiler
-        with prof.frame(core, "xcall"):
-            prof.phase_split(core, (("phase:captest", 6),
-                                    ("phase:xentry", 30),
-                                    ("phase:linkpush", 13)))
-            core.tick(49)
-            core.tick(5)    # the split is consumed by exactly one tick
+        frame = probe.frame(core, "xcall")
+        prof.phase_split(core, (("phase:captest", 6),
+                                ("phase:xentry", 30),
+                                ("phase:linkpush", 13)))
+        core.tick(49)
+        core.tick(5)    # the split is consumed by exactly one tick
+        probe.frame_end(core, frame)
     assert prof.collapsed() == {
         "core0;xcall": 5,
         "core0;xcall;phase:captest": 6,
@@ -133,9 +137,10 @@ def test_per_core_stacks_are_independent(machine):
     session = obs.ObsSession(profile=True)
     with obs.active(session):
         prof = session.profiler
-        with prof.frame(machine.core0, "a"):
-            machine.core0.tick(3)
-            machine.cores[1].tick(9)       # no frame on core1
+        frame = probe.frame(machine.core0, "a")
+        machine.core0.tick(3)
+        machine.cores[1].tick(9)       # no frame on core1
+        probe.frame_end(machine.core0, frame)
     assert prof.collapsed() == {"core0;a": 3, "core1": 9}
     assert prof.complete()
 
@@ -144,8 +149,9 @@ def test_collapsed_text_is_flamegraph_folded_format(machine):
     session = obs.ObsSession(profile=True)
     core = machine.core0
     with obs.active(session):
-        with session.profiler.frame(core, "x"):
-            core.tick(2)
+        frame = probe.frame(core, "x")
+        core.tick(2)
+        probe.frame_end(core, frame)
     text = session.profiler.collapsed_text()
     assert text == "core0;x 2"
 

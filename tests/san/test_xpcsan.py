@@ -8,6 +8,7 @@ ring memory touched from two simulated cores with no sanctioned handoff
 
 import pytest
 
+import repro.probe as probe
 import repro.san as san
 from repro.aio.ring import XPCRing
 from repro.hw.machine import Machine
@@ -121,12 +122,15 @@ class TestPhysicalIdentity:
 class TestSessionPlumbing:
     def test_active_restores_the_previous_session(self):
         outer, inner = san.SanSession(), san.SanSession()
+        seg = object()
         with san.active(outer):
-            assert san.ACTIVE is outer
+            probe.handoff(seg, "relay-seg", "xcall")
             with san.active(inner):
-                assert san.ACTIVE is inner
-            assert san.ACTIVE is outer
-        assert san.ACTIVE is None
+                probe.handoff(seg, "relay-seg", "xcall")
+            probe.handoff(seg, "relay-seg", "xcall")
+        assert probe.HANDOFF == probe.ACCESS == ()
+        probe.handoff(seg, "relay-seg", "xcall")
+        assert (outer.handoffs, inner.handoffs) == (2, 1)
 
     def test_from_env(self, monkeypatch):
         monkeypatch.delenv("REPRO_XPCSAN", raising=False)
@@ -188,7 +192,7 @@ class TestSeededOwnershipBug:
                           reply_capacity=8)
             # The sanctioned transfer: hand the segment over (as the
             # engine does at xcall), then drain from the other core.
-            san.ACTIVE.handoff(seg, "relay-seg", via="xcall")
+            probe.handoff(seg, "relay-seg", "xcall")
             assert ring.pop_sqe(machine.cores[1]) is not None
         assert session.issues == []
 

@@ -56,8 +56,11 @@ PROBE_IMPORTS = [
     ("repro.xpc.engine", "import repro.probe as probe\n"),
     ("repro.faults", "import repro.probe as probe\n"),
     ("repro.san", "import repro.probe as probe\n"),
-    ("repro.kernel.kernel", "import repro.obs as obs\n"),
+    ("repro.kernel.kernel", "import repro.probe as probe\n"),
 ]
+
+#: The two ways to reach an ObsSession, checked across the layer map.
+OBS_IMPORTS = ["import repro.obs\n", "from repro.obs import ObsSession\n"]
 
 
 class TestLayeringRule:
@@ -154,6 +157,24 @@ class TestLayeringRule:
 
     @pytest.mark.parametrize("importer,stmt", PROBE_IMPORTS)
     def test_probe_edges_are_allowed(self, importer, stmt):
+        assert lint(stmt, importer, LayeringRule()) == []
+
+    @pytest.mark.parametrize("stmt", OBS_IMPORTS)
+    @pytest.mark.parametrize("importer", [
+        "repro.kernel.kernel", "repro.aio.pool", "repro.services.nameserver",
+    ])
+    def test_machine_may_not_import_obs(self, importer, stmt):
+        violations = lint("import os\n" + stmt, importer, LayeringRule())
+        assert [v.line for v in violations] == [2]
+        assert "repro.obs" in violations[0].message
+        assert "repro.probe only" in violations[0].message
+
+    @pytest.mark.parametrize("stmt", OBS_IMPORTS)
+    @pytest.mark.parametrize("importer", [
+        "repro.proptest.harness", "repro.snap.world", "repro.prof.sentry",
+        "repro.cluster.fabric",
+    ])
+    def test_drivers_may_import_obs(self, importer, stmt):
         assert lint(stmt, importer, LayeringRule()) == []
 
 

@@ -23,7 +23,7 @@ from repro.kernel.kernel import BaseKernel
 
 #: Achieved Python-level calls per echo round trip (75 before the
 #: round trip's host-cost rework).
-CALLS_PER_ROUND_TRIP = 45
+CALLS_PER_ROUND_TRIP = 44
 #: Allowance for interpreter differences, over the whole measurement.
 SLACK = 1
 ROUND_TRIPS = 200
