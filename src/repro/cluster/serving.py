@@ -31,6 +31,7 @@ from typing import Optional, Tuple
 
 from repro.apps.httpd import build_request, build_response, parse_request
 from repro.apps.sqlite.db import Database
+from repro.cluster.fabric import default_encoder
 from repro.cluster.hashring import stable_hash
 from repro.cluster.loadgen import Request
 from repro.ipc.transport import Payload
@@ -104,11 +105,8 @@ class KVShard(ShardHandler):
         return ("ok",) + tuple(meta[1:]), stored
 
 
-def kv_encoder(req: Request) -> Tuple[tuple, bytes, int]:
-    payload = req.key.encode()
-    if req.op != "read":
-        payload += b"=" + b"v" * req.value_bytes
-    return (req.op, req.seq), payload, max(req.value_bytes, 16)
+#: KVShard's wire format is the fabric's default encoding.
+kv_encoder = default_encoder
 
 
 class StaticShard(ShardHandler):

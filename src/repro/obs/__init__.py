@@ -38,6 +38,7 @@ from __future__ import annotations
 from typing import Optional
 
 import repro.probe as probe
+from repro.obs.cores import CoreNames
 from repro.obs.pmu import PHASE_COUNTERS, PMU, PMUSnapshot
 from repro.obs.profiler import (CycleProfiler, ProfileNode,
                                 diff_collapsed)
@@ -57,13 +58,16 @@ class ObsSession:
 
     def __init__(self, span_capacity: int = 100_000,
                  profile: bool = False) -> None:
+        # One naming rule for the three per-core observers; the PMU
+        # is told of every machine the session sees.
+        names = CoreNames()
         self.registry = MetricsRegistry()
-        self.pmu = PMU()
-        self.spans = SpanTracer(capacity=span_capacity)
+        self.pmu = PMU(names)
+        self.spans = SpanTracer(capacity=span_capacity, names=names)
         #: Cycle-attribution profiler, or None (the default: profiling
         #: off leaves the probe's tick and frame sites unwatched).
         self.profiler: Optional[CycleProfiler] = (
-            CycleProfiler() if profile else None)
+            CycleProfiler(names) if profile else None)
         self.spans.profiler = self.profiler
 
     # -- probe subscription (repro.probe sites) ------------------------

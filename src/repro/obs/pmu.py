@@ -23,8 +23,9 @@ record-and-replay methodology relies on.
 
 from __future__ import annotations
 
-import copy
 from typing import Dict, List, Optional
+
+from repro.obs.cores import CoreNames
 
 #: Counter names reported as *levels* (sampled raw, never
 #: baseline-subtracted by reset): high-watermarks and populations.
@@ -169,68 +170,45 @@ class _KernelBank:
 class PMU:
     """The machine-wide PMU: one bank per core plus kernel banks.
 
-    Cores register through :meth:`attach_machine` (called automatically
-    by :class:`~repro.hw.machine.Machine` while a session is active) or
+    Banks are keyed by the core and kernel objects themselves, so a
+    snapshot's one ``deepcopy`` of (session, machine) carries them to
+    the copied machine with nothing to re-key.  Core banks are labelled
+    by *names* (:class:`~repro.obs.cores.CoreNames`, shared with the
+    session's profiler and span tracer).  Cores register through
+    :meth:`attach_machine` (called automatically by
+    :class:`~repro.hw.machine.Machine` while a session is active) or
     lazily on the first :meth:`add` for an unknown core.
     """
 
-    __snap_state__ = ("_core_banks", "_kernel_banks", "_machines",
-                      "_kernels")
+    __snap_state__ = ("names", "_core_banks", "_kernel_banks")
 
-    def __init__(self) -> None:
-        self._core_banks: Dict[int, _CoreBank] = {}   # id(core) -> bank
-        self._kernel_banks: Dict[int, _KernelBank] = {}
-        self._machines = 0
-        self._kernels = 0
-
-    def __deepcopy__(self, memo: dict) -> "PMU":
-        """Banks are keyed by ``id(core)``/``id(kernel)``; a snapshot
-        copy must re-key by the *copied* objects' ids or the restored
-        PMU would sample the pre-snapshot machine."""
-        dup = PMU.__new__(PMU)
-        memo[id(self)] = dup
-        dup._machines = self._machines
-        dup._kernels = self._kernels
-        dup._core_banks = {}
-        for bank in self._core_banks.values():
-            new_bank = copy.deepcopy(bank, memo)
-            dup._core_banks[id(new_bank.core)] = new_bank
-        dup._kernel_banks = {}
-        for kbank in self._kernel_banks.values():
-            new_kbank = copy.deepcopy(kbank, memo)
-            dup._kernel_banks[id(new_kbank.kernel)] = new_kbank
-        return dup
-
-    def __snap_fingerprint__(self):
-        """Canonical identity: banks in registration order, without the
-        raw ``id()`` keys (which differ across restores by design)."""
-        return ("PMU", self._machines, self._kernels,
-                list(self._core_banks.values()),
-                list(self._kernel_banks.values()))
+    def __init__(self, names: Optional[CoreNames] = None) -> None:
+        self.names = names if names is not None else CoreNames()
+        self._core_banks: Dict[object, _CoreBank] = {}
+        self._kernel_banks: Dict[object, _KernelBank] = {}
 
     # -- registration --------------------------------------------------
     def attach_machine(self, machine) -> None:
-        prefix = "" if self._machines == 0 else f"m{self._machines}."
-        self._machines += 1
+        self.names.attach_machine(machine)
         for core in machine.cores:
-            self._ensure_core(core, f"{prefix}core{core.core_id}")
+            self._bank(core)
 
     def attach_kernel(self, kernel) -> None:
-        label = "kernel" if self._kernels == 0 else f"kernel{self._kernels}"
-        self._kernels += 1
-        self._kernel_banks[id(kernel)] = _KernelBank(kernel, label)
+        n = len(self._kernel_banks)
+        label = "kernel" if n == 0 else f"kernel{n}"
+        self._kernel_banks.setdefault(kernel, _KernelBank(kernel, label))
 
-    def _ensure_core(self, core, label: Optional[str] = None) -> _CoreBank:
-        bank = self._core_banks.get(id(core))
+    def _bank(self, core) -> _CoreBank:
+        bank = self._core_banks.get(core)
         if bank is None:
-            bank = _CoreBank(core, label or f"core{core.core_id}")
-            self._core_banks[id(core)] = bank
+            bank = self._core_banks[core] = _CoreBank(core,
+                                                      self.names(core))
         return bank
 
     # -- event counters ------------------------------------------------
     def add(self, core, name: str, n: int = 1) -> None:
         """Increment event counter *name* in *core*'s bank."""
-        events = self._ensure_core(core).events
+        events = self._bank(core).events
         events[name] = events.get(name, 0) + n
 
     # -- snapshot / delta / reset --------------------------------------

@@ -33,7 +33,9 @@ cycle-identical (CI byte-compares fig5/fig7 results both ways).
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
+
+from repro.obs.cores import CoreNames
 
 
 class ProfileNode:
@@ -74,18 +76,21 @@ class CycleProfiler:
 
     ``on_tick`` is called by :meth:`repro.hw.cpu.Core.tick` whenever a
     session with a profiler is subscribed to the probe; everything else
-    is free bookkeeping around it.  Stacks are keyed by ``core_id``
-    (stable across snapshot/restore, unlike ``id(core)``), so a
-    deepcopied profiler keeps attributing against the copied machine.
+    is free bookkeeping around it.  Each core object keys one stack
+    (its root first) and one clock baseline: cores of different
+    machines never share a tree, and a profiler deepcopied together
+    with its machine (a snapshot) keeps attributing against the copied
+    cores.  Roots are named by *names*, the session's
+    :class:`~repro.obs.cores.CoreNames`, so they match the PMU's bank
+    labels.
     """
 
-    def __init__(self) -> None:
-        self._roots: Dict[int, ProfileNode] = {}     # core_id -> tree root
-        self._stacks: Dict[int, List[ProfileNode]] = {}
-        self._splits: Dict[int, Sequence[Tuple[str, int]]] = {}
+    def __init__(self, names: Optional[CoreNames] = None) -> None:
+        self.names = names if names is not None else CoreNames()
+        self._stacks: Dict[object, List[ProfileNode]] = {}  # core -> stack
+        self._baseline: Dict[object, int] = {}    # core -> cycles at arm
+        self._splits: Dict[object, Sequence[Tuple[str, int]]] = {}
         self._span_depth: Dict[int, int] = {}        # span_id -> depth
-        self._cores: Dict[int, object] = {}          # core_id -> core
-        self._baseline: Dict[int, int] = {}          # core.cycles at arm
         self.attributed = 0
         #: pops that found no matching frame (mid-run arming, repairs
         #: racing the bridge) — nonzero means paths may be coarse, never
@@ -97,15 +102,10 @@ class CycleProfiler:
 
     # -- registration ---------------------------------------------------
     def _ensure(self, core, already_charged: int = 0) -> List[ProfileNode]:
-        cid = core.core_id
-        stack = self._stacks.get(cid)
+        stack = self._stacks.get(core)
         if stack is None:
-            root = ProfileNode(f"core{cid}")
-            self._roots[cid] = root
-            stack = [root]
-            self._stacks[cid] = stack
-            self._cores[cid] = core
-            self._baseline[cid] = core.cycles - already_charged
+            stack = self._stacks[core] = [ProfileNode(self.names(core))]
+            self._baseline[core] = core.cycles - already_charged
         return stack
 
     # -- frames ---------------------------------------------------------
@@ -117,10 +117,10 @@ class CycleProfiler:
             self._span_depth[span_id] = len(stack)
         stack.append(stack[-1].child(label))
 
-    def pop(self, core_id: int, span_id: Optional[int] = None) -> None:
-        """Close the innermost frame (or the one *span_id* opened,
-        truncating anything still nested inside it)."""
-        stack = self._stacks.get(core_id)
+    def pop(self, core, span_id: Optional[int] = None) -> None:
+        """Close *core*'s innermost frame (or the one *span_id*
+        opened, truncating anything still nested inside it)."""
+        stack = self._stacks.get(core)
         if not stack:
             return
         if span_id is not None:
@@ -146,7 +146,7 @@ class CycleProfiler:
     def close_frame(self, core, depth: int) -> None:
         """Close the frame :meth:`open_frame` returned *depth* for,
         and anything still nested inside it."""
-        stack = self._stacks.get(core.core_id)
+        stack = self._stacks.get(core)
         if stack is not None and len(stack) > depth:
             del stack[depth:]
 
@@ -157,17 +157,17 @@ class CycleProfiler:
         phases.  Consumed by exactly one tick; parts that do not cover
         the whole charge leave the remainder in the frame itself."""
         self._ensure(core)
-        self._splits[core.core_id] = parts
+        self._splits[core] = parts
 
     # -- the hook Core.tick calls ---------------------------------------
     def on_tick(self, core, cycles: int) -> None:
         """Attribute *cycles* (already added to ``core.cycles``)."""
         if not cycles:
-            self._splits.pop(core.core_id, None)
+            self._splits.pop(core, None)
             return
         stack = self._ensure(core, already_charged=cycles)
         top = stack[-1]
-        split = self._splits.pop(core.core_id, None)
+        split = self._splits.pop(core, None)
         if split:
             remainder = cycles
             for phase, n in split:
@@ -185,21 +185,23 @@ class CycleProfiler:
 
     # -- completeness ---------------------------------------------------
     def clock_cycles(self) -> int:
-        """Cycles the profiled cores' clocks advanced while armed."""
-        return sum(self._cores[cid].cycles - self._baseline[cid]
-                   for cid in self._cores)
+        """Cycles every profiled core's clock advanced since the
+        profiler first saw it."""
+        return sum(core.cycles - base
+                   for core, base in self._baseline.items())
 
     def complete(self) -> bool:
         """The attribution invariant: flame total == clock total."""
         return self.attributed == self.clock_cycles()
 
-    def open_depth(self, core_id: int) -> int:
-        stack = self._stacks.get(core_id)
+    def open_depth(self, core) -> int:
+        stack = self._stacks.get(core)
         return len(stack) - 1 if stack else 0
 
     # -- exports --------------------------------------------------------
     def roots(self) -> List[ProfileNode]:
-        return [self._roots[cid] for cid in sorted(self._roots)]
+        return [self._stacks[core][0]
+                for core in sorted(self._stacks, key=self.names.key)]
 
     def collapsed(self) -> Dict[str, int]:
         """Weighted stacks in flamegraph.pl "folded" form:

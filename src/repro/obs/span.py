@@ -24,6 +24,8 @@ import json
 from collections import deque
 from typing import Dict, List, Optional
 
+from repro.obs.cores import CoreNames
+
 DEFAULT_SPAN_CAPACITY = 100_000
 
 
@@ -31,21 +33,25 @@ class Span:
     """One timed, nestable unit of work."""
 
     __slots__ = ("span_id", "parent_id", "trace_id", "name", "cat",
-                 "core_id", "start", "end", "args", "events")
+                 "core", "start", "end", "args", "events")
 
     def __init__(self, span_id: int, parent_id: Optional[int],
-                 trace_id: int, name: str, cat: str, core_id: int,
+                 trace_id: int, name: str, cat: str, core,
                  start: int, args: Optional[dict] = None) -> None:
         self.span_id = span_id
         self.parent_id = parent_id
         self.trace_id = trace_id
         self.name = name
         self.cat = cat
-        self.core_id = core_id
+        self.core = core
         self.start = start
         self.end: Optional[int] = None
         self.args = dict(args) if args else {}
         self.events: List[dict] = []    # instant annotations
+
+    @property
+    def core_id(self) -> int:
+        return self.core.core_id
 
     @property
     def open(self) -> bool:
@@ -71,9 +77,16 @@ class Span:
 
 
 class SpanTracer:
-    """Per-core nested span recorder with a bounded finished-span ring."""
+    """Per-core nested span recorder with a bounded finished-span ring.
 
-    def __init__(self, capacity: int = DEFAULT_SPAN_CAPACITY) -> None:
+    Open spans stack per core object, so two machines' ``core0`` never
+    nest into each other; *names* (the session's
+    :class:`~repro.obs.cores.CoreNames`) gives each machine its own
+    Chrome trace process.
+    """
+
+    def __init__(self, capacity: int = DEFAULT_SPAN_CAPACITY,
+                 names: Optional[CoreNames] = None) -> None:
         if capacity <= 0:
             raise ValueError("span capacity must be positive")
         self.capacity = capacity
@@ -89,8 +102,8 @@ class SpanTracer:
         #: every span begin/end also pushes/pops an attribution frame,
         #: so span instrumentation shapes the flame tree for free.
         self.profiler = None
-        self._open: Dict[int, List[Span]] = {}    # core_id -> stack
-        self._cores: Dict[int, object] = {}       # core_id -> last core
+        self.names = names if names is not None else CoreNames()
+        self._open: Dict[object, List[Span]] = {}    # core -> stack
         self._next_span_id = 1
         self._next_trace_id = 1
         #: The innermost span still open anywhere (the simulator is
@@ -102,8 +115,7 @@ class SpanTracer:
     def begin(self, core, name: str, cat: str = "xpc",
               **args) -> Span:
         """Open a span on *core* at its current cycle."""
-        stack = self._open.setdefault(core.core_id, [])
-        self._cores[core.core_id] = core
+        stack = self._open.setdefault(core, [])
         parent = stack[-1] if stack else None
         if parent is not None:
             trace_id = parent.trace_id
@@ -113,7 +125,7 @@ class SpanTracer:
             self._next_trace_id += 1
             parent_id = None
         span = Span(self._next_span_id, parent_id, trace_id, name, cat,
-                    core.core_id, core.cycles, args)
+                    core, core.cycles, args)
         self._next_span_id += 1
         stack.append(span)
         self.current = span
@@ -129,7 +141,7 @@ class SpanTracer:
         frames above it — also closes everything nested inside it, each
         marked ``truncated``.
         """
-        stack = self._open.get(core.core_id)
+        stack = self._open.get(core)
         if not stack:
             return None
         if span is None:
@@ -151,7 +163,7 @@ class SpanTracer:
             self.repaired_total += 1
         self._finish(span)
         if self.profiler is not None:
-            self.profiler.pop(core.core_id, span_id=span.span_id)
+            self.profiler.pop(core, span_id=span.span_id)
         self.current = None
         for frames in self._open.values():
             for open_span in frames:
@@ -174,8 +186,7 @@ class SpanTracer:
         if span is None:
             return
         if cycle is None:
-            core = self._cores.get(span.core_id)
-            cycle = core.cycles if core is not None else span.start
+            cycle = span.core.cycles
         span.annotate(name, cycle, args)
 
     # -- introspection -------------------------------------------------
@@ -184,8 +195,8 @@ class SpanTracer:
         """Finished spans, oldest first."""
         return list(self.finished)
 
-    def open_depth(self, core_id: int) -> int:
-        return len(self._open.get(core_id, []))
+    def open_depth(self, core) -> int:
+        return len(self._open.get(core, []))
 
     def find(self, name: str) -> List[Span]:
         return [s for s in self.finished if s.name == name]
@@ -197,13 +208,16 @@ class SpanTracer:
     def chrome_events(self, pid: str = "repro") -> List[dict]:
         """``trace_event`` dicts: one "X" per span, one "i" per
         annotation.  ``ts`` is the span's start cycle (cycles rendered
-        as microseconds — Perfetto's time axis then reads in cycles)."""
+        as microseconds — Perfetto's time axis then reads in cycles).
+        A track is (*pid* behind the core's machine prefix, core id):
+        ``m1.<pid>`` holds the session's second machine."""
         events: List[dict] = []
         for span in self.finished:
+            track = self.names.prefix(span.core) + pid
             events.append({
                 "name": span.name, "cat": span.cat, "ph": "X",
                 "ts": span.start, "dur": span.duration,
-                "pid": pid, "tid": span.core_id,
+                "pid": track, "tid": span.core_id,
                 "args": {"span_id": span.span_id,
                          "parent_id": span.parent_id,
                          "trace_id": span.trace_id, **span.args},
@@ -211,7 +225,7 @@ class SpanTracer:
             for note in span.events:
                 events.append({
                     "name": note["name"], "cat": "fault", "ph": "i",
-                    "ts": note["cycle"], "pid": pid,
+                    "ts": note["cycle"], "pid": track,
                     "tid": span.core_id, "s": "t",
                     "args": dict(note["args"]),
                 })

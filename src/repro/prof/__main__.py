@@ -26,17 +26,15 @@ import json
 import sys
 
 import repro.obs as obs
-from repro.prof.sentry import (bisect_regression, kernel_of,
-                               machine_of, seed_captest_regression)
+from repro.prof.sentry import bisect_regression, seed_captest_regression
 from repro.prof.slo import SLOEngine
 from repro.snap.scenarios import SCENARIOS
+from repro.snap.world import attach_obs
 
 
 def _run_scenario(scenario: str, profile: bool = True):
     world, ops = SCENARIOS[scenario]()
-    session = obs.ObsSession(profile=profile)
-    session.attach(machine_of(world), kernel_of(world))
-    world.obs = session
+    session = attach_obs(world, obs.ObsSession(profile=profile))
     for op in ops:
         world.step(op)
     return world, session

@@ -32,20 +32,7 @@ from repro.obs.profiler import diff_collapsed
 from repro.snap.record import Recorder
 from repro.snap.scenarios import SCENARIOS
 from repro.snap.timetravel import reverse_until
-
-
-def machine_of(world):
-    machine = getattr(world, "machine", None)
-    if machine is not None:
-        return machine
-    return world.executor.kernel.machine
-
-
-def kernel_of(world):
-    kernel = getattr(world, "kernel", None)
-    if kernel is not None:
-        return kernel
-    return world.executor.kernel
+from repro.snap.world import attach_obs
 
 
 def seed_captest_regression(extra: int, after_ops: int) -> Callable:
@@ -68,9 +55,7 @@ def record_scenario(scenario: str,
     first op — the seeded-regression injection point."""
     builder = SCENARIOS[scenario]
     world, ops = builder()
-    session = obs.ObsSession()
-    session.attach(machine_of(world), kernel_of(world))
-    world.obs = session
+    attach_obs(world, obs.ObsSession())
     if mutate is not None:
         mutate(world)
     recorder = Recorder(world, every_ops=every_ops)
@@ -82,9 +67,7 @@ def profile_op(recorder: Recorder, op_index: int):
     """Resume to the boundary before op *op_index*, re-step just that
     op under a profiling session, and return the CycleProfiler."""
     world = recorder.resume(op_index)
-    session = obs.ObsSession(profile=True)
-    session.attach(machine_of(world), kernel_of(world))
-    world.obs = session
+    session = attach_obs(world, obs.ObsSession(profile=True))
     world.step(recorder.ops[op_index])
     profiler = session.profiler
     assert profiler.complete(), "sentry profiling lost cycles"

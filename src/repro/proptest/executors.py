@@ -335,23 +335,56 @@ class _ExecutorBase:
         return ("via",) + inner_reply, inner_bytes
 
     def _thief_action(self, rec: _GenRec, meta: tuple) -> tuple:
-        raise RuntimeError("baseline thieves never execute")
+        if not self.mechanism_enforces:
+            raise RuntimeError("baseline thieves never execute")
+        # A real theft: park the handed-over window in our seg-list and
+        # leave a fresh scratch window in seg-reg.  §3.3's return-time
+        # check must catch the mismatch at xret.
+        core = self.transport.current_core
+        _seg, slot = self.kernel.create_relay_seg(core, rec.process, 4096)
+        core.xpc_engine.swapseg(slot)
+        return ("stolen",) + meta[1:], None
 
-    # -- hooks the concrete executors fill in ---------------------------
-    def _bind_service(self, rec: _GenRec) -> None:
-        raise NotImplementedError
-
+    # -- the mechanism, through ``self.transport`` ---------------------
     def _wire_chains(self, rec: _GenRec) -> None:
-        """Cross-grant so chain servers can call every known service."""
+        """Cross-grant so chain servers can call every known service.
+
+        Every chain generation *ever* registered can call onward —
+        pending submits bound to a superseded chain generation still
+        complete at the wait and must reach then-current targets.
+        Baseline nested calls reuse the client cap."""
+        if not self.mechanism_enforces:
+            return
+        for other in self.all_recs:
+            if other.kind == "chain" and other is not rec:
+                self.transport.grant_to_thread(rec.main_sid, other.thread)
+        if rec.kind == "chain":
+            for other in self.all_recs:
+                self.transport.grant_to_thread(other.main_sid, rec.thread)
 
     def _apply_grant(self, rec: _GenRec, granted: bool) -> None:
         """Propagate a grant/revocation into the mechanism (XPC only)."""
+        if not self.mechanism_enforces:
+            return
+        if granted:
+            self.transport.grant_to_thread(rec.main_sid,
+                                           self.client_thread)
+        else:
+            self.transport.revoke_from_thread(rec.main_sid,
+                                              self.client_thread)
 
     def _sync_call(self, rec, meta, payload, reply_capacity):
-        raise NotImplementedError
+        return self.transport.call(rec.main_sid, meta, payload,
+                                   reply_capacity=reply_capacity)
 
     def _inner_call(self, rec, meta, payload, reply_capacity,
                     window_slice):
+        return self.transport.call(rec.main_sid, meta, payload,
+                                   reply_capacity=reply_capacity,
+                                   window_slice=window_slice)
+
+    # -- hooks the concrete executors fill in ---------------------------
+    def _bind_service(self, rec: _GenRec) -> None:
         raise NotImplementedError
 
     def _enqueue(self, rec: _GenRec, op: SubmitOp):
@@ -412,49 +445,6 @@ class SyncExecutor(_ExecutorBase):
             self.transport.revoke_from_thread(rec.main_sid,
                                               self.client_thread)
         self.kernel.run_thread(self.core, self.client_thread)
-
-    def _wire_chains(self, rec: _GenRec) -> None:
-        # Every chain generation *ever* registered can call onward —
-        # pending submits bound to a superseded chain generation still
-        # complete at the wait and must reach then-current targets.
-        if not self.is_xpc:
-            return          # baseline nested calls reuse the client cap
-        for other in self.all_recs:
-            if other.kind == "chain" and other is not rec:
-                self.transport.grant_to_thread(rec.main_sid, other.thread)
-        if rec.kind == "chain":
-            for other in self.all_recs:
-                self.transport.grant_to_thread(other.main_sid, rec.thread)
-
-    def _apply_grant(self, rec: _GenRec, granted: bool) -> None:
-        if not self.is_xpc:
-            return
-        if granted:
-            self.transport.grant_to_thread(rec.main_sid,
-                                           self.client_thread)
-        else:
-            self.transport.revoke_from_thread(rec.main_sid,
-                                              self.client_thread)
-
-    # -- calls -----------------------------------------------------------
-    def _sync_call(self, rec, meta, payload, reply_capacity):
-        return self.transport.call(rec.main_sid, meta, payload,
-                                   reply_capacity=reply_capacity)
-
-    def _inner_call(self, rec, meta, payload, reply_capacity,
-                    window_slice):
-        return self.transport.call(rec.main_sid, meta, payload,
-                                   reply_capacity=reply_capacity,
-                                   window_slice=window_slice)
-
-    def _thief_action(self, rec: _GenRec, meta: tuple) -> tuple:
-        # A real theft: park the handed-over window in our seg-list and
-        # leave a fresh scratch window in seg-reg.  §3.3's return-time
-        # check must catch the mismatch at xret.
-        core = self.transport.current_core
-        _seg, slot = self.kernel.create_relay_seg(core, rec.process, 4096)
-        core.xpc_engine.swapseg(slot)
-        return ("stolen",) + meta[1:], None
 
     # -- async ops -------------------------------------------------------
     def _complete_pending(self) -> List[tuple]:
@@ -526,38 +516,6 @@ class BatchedExecutor(_ExecutorBase):
                               rec.ring.entry_id, seg_bytes=16 * 1024,
                               entries=32, max_batch=64, name=label)
         self.kernel.run_thread(self.core, self.client_thread)
-
-    def _wire_chains(self, rec: _GenRec) -> None:
-        for other in self.all_recs:
-            if other.kind == "chain" and other is not rec:
-                self.transport.grant_to_thread(rec.main_sid, other.thread)
-        if rec.kind == "chain":
-            for other in self.all_recs:
-                self.transport.grant_to_thread(other.main_sid, rec.thread)
-
-    def _apply_grant(self, rec: _GenRec, granted: bool) -> None:
-        if granted:
-            self.transport.grant_to_thread(rec.main_sid,
-                                           self.client_thread)
-        else:
-            self.transport.revoke_from_thread(rec.main_sid,
-                                              self.client_thread)
-
-    def _sync_call(self, rec, meta, payload, reply_capacity):
-        return self.transport.call(rec.main_sid, meta, payload,
-                                   reply_capacity=reply_capacity)
-
-    def _inner_call(self, rec, meta, payload, reply_capacity,
-                    window_slice):
-        return self.transport.call(rec.main_sid, meta, payload,
-                                   reply_capacity=reply_capacity,
-                                   window_slice=window_slice)
-
-    def _thief_action(self, rec: _GenRec, meta: tuple) -> tuple:
-        core = self.transport.current_core
-        _seg, slot = self.kernel.create_relay_seg(core, rec.process, 4096)
-        core.xpc_engine.swapseg(slot)
-        return ("stolen",) + meta[1:], None
 
     def _enqueue(self, rec: _GenRec, op: SubmitOp):
         return rec.batcher.submit(op.meta, op.payload, op.reply_capacity)

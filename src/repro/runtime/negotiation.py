@@ -58,17 +58,3 @@ def negotiate_size(root: SizeNode) -> int:
         return cache[key]
 
     return s_all(root)
-
-
-def reservation_plan(root: SizeNode) -> Dict[str, int]:
-    """Per-node ``S_all`` map — useful for servers implementing their own
-    negotiation (§4.4 lets servers override the recursive default)."""
-    plan: Dict[str, int] = {}
-
-    def visit(node: SizeNode) -> int:
-        worst = max((visit(c) for c in node.callees), default=0)
-        plan[node.name] = node.s_self + worst
-        return plan[node.name]
-
-    visit(root)
-    return plan

@@ -35,14 +35,14 @@ from repro.snap.core import (KEY_LEN, Snapshot, SnapshotStore, capture,
 from repro.snap.fingerprint import (SnapshotError, check_state_discipline,
                                     declared_state, fingerprint)
 from repro.snap.record import Recorder
-from repro.snap.timetravel import (TimeTravelResult, kernel_of,
-                                   recovery_predicate, reverse_until)
-from repro.snap.world import ExecutorWorld, SimWorld
+from repro.snap.timetravel import (TimeTravelResult, recovery_predicate,
+                                   reverse_until)
+from repro.snap.world import ExecutorWorld, SimWorld, attach_obs, kernel_of
 
 __all__ = [
     "ExecutorWorld", "KEY_LEN", "PreFaultSnapper", "Recorder",
     "SimWorld", "Snapshot", "SnapshotError", "SnapshotStore",
-    "TimeTravelResult", "capture", "check_state_discipline",
+    "TimeTravelResult", "attach_obs", "capture", "check_state_discipline",
     "declared_state", "fingerprint", "kernel_of", "live_fingerprint",
     "recovery_predicate", "restore", "reverse_until", "world_clock",
 ]

@@ -34,6 +34,7 @@ from typing import Callable, List, Optional
 
 from repro.snap.core import Snapshot, capture, restore
 from repro.snap.record import Recorder
+from repro.snap.world import kernel_of
 from repro.verify.live import check_recovery_invariants
 
 
@@ -57,14 +58,6 @@ class TimeTravelResult:
         return (f"TimeTravelResult(op_index={self.op_index}, "
                 f"op={self.op!r}, window={len(self.window)} ops, "
                 f"probes={self.probes})")
-
-
-def kernel_of(world):
-    """The kernel a world carries (ExecutorWorld or SimWorld shape)."""
-    kernel = getattr(world, "kernel", None)
-    if kernel is not None:
-        return kernel
-    return world.executor.kernel
 
 
 def recovery_predicate(world) -> bool:

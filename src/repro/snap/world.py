@@ -35,6 +35,24 @@ import repro.faults as faults
 import repro.obs as obs
 
 
+def kernel_of(world):
+    """The kernel a world carries (ExecutorWorld or SimWorld shape)."""
+    kernel = getattr(world, "kernel", None)
+    if kernel is not None:
+        return kernel
+    return world.executor.kernel
+
+
+def attach_obs(world, session: obs.ObsSession) -> obs.ObsSession:
+    """Hand *world* an obs *session*: register the world's machine and
+    kernel with it (they were built before it was armed) and arm it
+    around every later step.  Returns the session."""
+    kernel = kernel_of(world)
+    session.attach(kernel.machine, kernel)
+    world.obs = session
+    return session
+
+
 class ExecutorWorld:
     """A proptest executor plus its run bookkeeping, as one graph."""
 
@@ -56,12 +74,10 @@ class ExecutorWorld:
         """Construct the executor and (optionally) wire an ObsSession
         to its machine and kernel so PMU/metrics state snapshots with
         the world."""
-        executor = factory()
-        session = None
+        world = cls(factory())
         if observe:
-            session = obs.ObsSession()
-            session.attach(executor.kernel.machine, executor.kernel)
-        return cls(executor, session)
+            attach_obs(world, obs.ObsSession())
+        return world
 
     def clock(self) -> int:
         return self.executor.core.cycles

@@ -136,8 +136,8 @@ def test_span_end_closes_what_its_token_opened_and_truncates_inside():
     spans = {span.name: span for span in session.spans.spans}
     assert (spans["outer"].start, spans["outer"].end) == (0, 25)
     assert spans["inner"].args.get("truncated") is True
-    assert session.spans.open_depth(core.core_id) == 0
-    assert session.profiler.open_depth(core.core_id) == 0
+    assert session.spans.open_depth(core) == 0
+    assert session.profiler.open_depth(core) == 0
 
 
 def test_frame_end_closes_what_its_token_opened_and_truncates_inside():
@@ -146,12 +146,12 @@ def test_frame_end_closes_what_its_token_opened_and_truncates_inside():
     with obs.active(session):
         outer = probe.frame(core, "kernel:repair_return")
         inner = probe.frame(core, "inner")
-        assert session.profiler.open_depth(core.core_id) == 2
+        assert session.profiler.open_depth(core) == 2
         probe.frame_end(core, inner)
-        assert session.profiler.open_depth(core.core_id) == 1
+        assert session.profiler.open_depth(core) == 1
         probe.frame(core, "abandoned")
         probe.frame_end(core, outer)
-        assert session.profiler.open_depth(core.core_id) == 0
+        assert session.profiler.open_depth(core) == 0
 
 
 def test_frame_sites_are_watched_only_when_profiling():

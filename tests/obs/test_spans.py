@@ -49,7 +49,7 @@ def test_closing_outer_span_truncates_inner_frames():
     inner = tracer.begin(core, "fs:read")
     core.cycles = 99
     tracer.end(core, outer, repaired=True)
-    assert tracer.open_depth(core.core_id) == 0
+    assert tracer.open_depth(core) == 0
     assert inner.args.get("truncated") is True
     assert outer.args.get("repaired") is True
     assert all(s.end == 99 for s in tracer.spans)
@@ -62,7 +62,7 @@ def test_end_unknown_span_is_a_noop():
     tracer.begin(core, "a")
     ghost = Span(999, None, 999, "ghost", "x", 0, 0)
     assert tracer.end(core, ghost) is None
-    assert tracer.open_depth(core.core_id) == 1
+    assert tracer.open_depth(core) == 1
 
 
 def test_annotate_lands_on_innermost_open_span():

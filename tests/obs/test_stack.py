@@ -165,7 +165,7 @@ def test_fault_injection_is_annotated_and_counted():
                  for note in span.events]
         assert any(n["name"] == "fault:xpc.callee_crash" for n in notes)
         assert session.registry.get("xpc.peer_died").value == 1
-        assert session.spans.open_depth(0) == 0
+        assert session.spans.open_depth(machine.core0) == 0
 
 
 def test_repair_path_closes_orphaned_spans():
@@ -190,11 +190,11 @@ def test_repair_path_closes_orphaned_spans():
         engine = machine.engines[0]
         engine.xcall(entry_b.entry_id)
         engine.xcall(entry_c.entry_id)
-        assert session.spans.open_depth(0) == 2
+        assert session.spans.open_depth(core) == 2
         kernel.kill_process(b, lazy=False)
         assert kernel.repair_return(core, at) is not None
 
-        assert session.spans.open_depth(0) == 0
+        assert session.spans.open_depth(core) == 0
         repaired = {s.name: s.args for s in session.spans.spans
                     if s.args.get("repaired")}
         assert set(repaired) == {f"xcall#{entry_b.entry_id}",

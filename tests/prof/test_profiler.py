@@ -106,13 +106,13 @@ def test_span_bridge_shapes_the_flame_tree(machine):
 def test_mismatched_pop_is_counted_not_fatal(machine):
     prof = CycleProfiler()
     core = machine.core0
-    prof.pop(core.core_id)                    # unregistered: no-op
+    prof.pop(core)                    # unregistered: no-op
     assert prof.mismatched_pops == 0
     prof.push(core, "a")
-    prof.pop(core.core_id)
-    prof.pop(core.core_id)                    # only the root remains
+    prof.pop(core)
+    prof.pop(core)                    # only the root remains
     assert prof.mismatched_pops == 1
-    prof.pop(core.core_id, span_id=999)       # span never bridged
+    prof.pop(core, span_id=999)       # span never bridged
     assert prof.mismatched_pops == 2
 
 

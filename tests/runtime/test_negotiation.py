@@ -3,9 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.runtime.negotiation import (
-    SizeNode, negotiate_size, reservation_plan,
-)
+from repro.runtime.negotiation import SizeNode, negotiate_size
 
 
 def test_linear_chain_sums():
@@ -48,14 +46,6 @@ def test_cycle_detected():
 def test_negative_size_rejected():
     with pytest.raises(ValueError):
         negotiate_size(SizeNode("bad", -1))
-
-
-def test_reservation_plan_covers_every_node():
-    c = SizeNode("C", 16)
-    b = SizeNode("B", 64).calls(c)
-    a = SizeNode("A", 4).calls(b)
-    plan = reservation_plan(a)
-    assert plan == {"C": 16, "B": 80, "A": 84}
 
 
 @given(sizes=st.lists(st.integers(0, 4096), min_size=1, max_size=12))
