@@ -39,7 +39,7 @@ from typing import Optional
 
 import repro.probe as probe
 from repro.obs.cores import CoreNames
-from repro.obs.pmu import PHASE_COUNTERS, PMU, PMUSnapshot
+from repro.obs.pmu import PHASE_COUNTERS, PMU, PhaseWatch, PMUSnapshot
 from repro.obs.profiler import (CycleProfiler, ProfileNode,
                                 diff_collapsed)
 from repro.obs.registry import (Counter, Gauge, Histogram,
@@ -48,8 +48,8 @@ from repro.obs.span import Span, SpanTracer
 
 __all__ = [
     "Counter", "CycleProfiler", "Gauge", "Histogram", "MetricsRegistry",
-    "ObsSession", "PMU", "PMUSnapshot", "ProfileNode", "Span",
-    "SpanTracer", "active", "diff_collapsed",
+    "ObsSession", "PMU", "PMUSnapshot", "PhaseWatch", "ProfileNode",
+    "Span", "SpanTracer", "active", "diff_collapsed",
 ]
 
 
@@ -172,7 +172,9 @@ class ObsSession:
         return artifact
 
 
-def active(session: ObsSession):
-    """Subscribe *session* to the probe for the duration of the block,
-    restoring the outer session after it, so nested scopes compose."""
+def active(session):
+    """Subscribe *session* (an :class:`ObsSession` or a
+    :class:`~repro.obs.pmu.PhaseWatch`) to the probe for the duration
+    of the block, restoring the outer session after it, so nested
+    scopes compose."""
     return probe.subscribed("obs", session.probe_handlers(), session)

@@ -43,8 +43,39 @@ PHASE_COUNTERS = {
 }
 
 
+#: The phases that partition ``xcall.cycles`` (Fig. 5's identity).
+XCALL_PHASES = frozenset(label for label, counter in PHASE_COUNTERS.items()
+                         if counter.startswith("cycles.xcall."))
+
+
 def _is_level(name: str) -> bool:
     return name.endswith(LEVEL_SUFFIXES)
+
+
+class PhaseWatch:
+    """The phase-partition half of a PMU and nothing else: per-core
+    sums of the :data:`XCALL_PHASES` cycles split at the ``phase``
+    site.  Armed with :func:`repro.obs.active` like a session (it
+    pauses an outer one the same way), so a caller that only checks
+    Fig. 5's identity pays for one site, not every bank and span."""
+
+    def __init__(self) -> None:
+        self._xcall: Dict[object, int] = {}      # core -> phase cycles
+
+    def probe_handlers(self) -> dict:
+        return {"phase": self._on_phase}
+
+    def _on_phase(self, core, parts) -> None:
+        cycles = 0
+        for label, n in parts:
+            if label in XCALL_PHASES:
+                cycles += n
+        if cycles:
+            self._xcall[core] = self._xcall.get(core, 0) + cycles
+
+    def xcall_cycles(self, core) -> int:
+        """Captest + xentry + linkpush cycles split on *core*."""
+        return self._xcall.get(core, 0)
 
 
 class PMUSnapshot:

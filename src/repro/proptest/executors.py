@@ -118,7 +118,8 @@ class _GenRec:
     kv: dict = field(default_factory=dict)
 
 
-def _run_steps(executor, program: Program) -> ExecutionReport:
+def _run_steps(executor, program: Program,
+               name: Optional[str] = None) -> ExecutionReport:
     """The shared program loop: drive *executor* one op at a time.
 
     Works on anything exposing ``step``/``core``/``kernel``/
@@ -126,8 +127,12 @@ def _run_steps(executor, program: Program) -> ExecutionReport:
     wrappers, and (via ``repro.snap``'s worlds) a restored mid-program
     executor resuming from an op-boundary snapshot.  The protocol
     catalogue runs after every op on a real kernel (not the fast
-    core's shim) into ``report.invariant_failures``.
+    core's shim) into ``report.invariant_failures``.  *name* (default
+    ``executor.name``) labels the report and its failures: a wrapper
+    that arms once around its inner executor's loop passes its own.
     """
+    if name is None:
+        name = executor.name
     kernel = executor.kernel
     checked = isinstance(kernel, BaseKernel)
     outcomes, op_cycles, op_ipc, failures = [], [], [], []
@@ -138,9 +143,9 @@ def _run_steps(executor, program: Program) -> ExecutionReport:
         op_cycles.append(executor.core.cycles - cycles0)
         op_ipc.append(executor._ipc_total() - ipc0)
         if checked:
-            failures += [f"{executor.name}: op {i} {v}"
+            failures += [f"{name}: op {i} {v}"
                          for v in check_protocol(kernel)]
-    return ExecutionReport(executor.name, outcomes, op_cycles, op_ipc,
+    return ExecutionReport(name, outcomes, op_cycles, op_ipc,
                            invariant_failures=failures)
 
 
@@ -589,15 +594,19 @@ class FaultingExecutor:
         return self.inner._ipc_total()
 
     def step(self, op) -> tuple:
-        """One op with the plan armed.  Nothing fires between ops (the
+        """One op with the plan armed: how ``repro.snap``'s
+        ``ExecutorWorld`` drives a wrapper, so a snapshot restored at an
+        op boundary resumes mid-plan.  Nothing fires between ops (the
         fire sites all sit inside op machinery), so per-op arming is
-        trace-identical to arming around the whole run — and it lets a
-        snapshot restored at an op boundary resume mid-plan."""
+        trace-identical to :meth:`run`'s once-per-run arming."""
         with faults.active(self.plan):
             return self.inner.step(op)
 
     def run(self, program: Program) -> ExecutionReport:
-        report = _run_steps(self, program)
+        """The whole program with the plan armed once, around the
+        inner executor's loop (the report keeps this wrapper's name)."""
+        with faults.active(self.plan):
+            report = _run_steps(self.inner, program, name=self.name)
         report.fault_trace = [ev.as_dict() for ev in self.plan.trace]
         return report
 
@@ -611,6 +620,11 @@ class SanExecutor:
     link-stack entries.  Any conflicting unsynchronized access lands in
     ``report.san_issues``, which the harness treats as an invariant
     failure — the runtime analogue of the §3.3 single-owner proof.
+
+    Arming follows :class:`FaultingExecutor`: :meth:`run` arms the
+    session once around the inner executor's loop, :meth:`step` arms
+    it per op for a world that resumes mid-program.  No access happens
+    between ops, so the two record the same log.
     """
 
     def __init__(self, inner) -> None:
@@ -646,7 +660,8 @@ class SanExecutor:
             return self.inner.step(op)
 
     def run(self, program: Program) -> ExecutionReport:
-        report = _run_steps(self, program)
+        with san.active(self.session):
+            report = _run_steps(self.inner, program, name=self.name)
         report.san_issues = [issue.describe()
                              for issue in self.session.issues]
         return report

@@ -21,7 +21,7 @@ executor:
 
 Cycle counts are deliberately *not* part of an outcome — mechanisms
 differ there by design; the harness checks only clock monotonicity and
-the obs PMU phase identities.
+the Fig. 5 phase identity.
 """
 
 from __future__ import annotations

@@ -1,8 +1,9 @@
 """The differential harness: one program, every mechanism, one oracle.
 
-For each executor the harness builds a fresh machine inside its own
-:class:`~repro.obs.ObsSession` (PMU banks attach at machine creation),
-runs the program, and then checks five things:
+For each executor the harness builds a fresh machine, runs the program
+with only what its checks read armed — a :class:`~repro.obs.PhaseWatch`
+summing the Fig. 5 xcall phases per core, plus an XPCSan session when
+``REPRO_XPCSAN=1`` — and then checks five things:
 
 1. **Outcomes** — every op's observable outcome equals the oracle's,
    byte for byte.  This is the differential property: five mechanisms
@@ -11,9 +12,10 @@ runs the program, and then checks five things:
 2. **Clock sanity** — cycles are *never* compared exactly across
    mechanisms (they differ by design; that difference is the paper).
    Instead: per-op cycle deltas are non-negative (the simulated clock
-   is monotone), and the obs PMU's phase partition holds on every bank
-   that did xcalls (``cycles.xcall.{captest,xentry,linkpush}`` is a
-   complete partition of ``xcall.cycles`` — Figure 5's identity).
+   is monotone), and the phase partition holds on every core that did
+   xcalls: the captest, xentry and linkpush cycles split at the probe's
+   ``phase`` site sum to the engine's ``xcall_cycles`` (Figure 5's
+   identity).  A core with xcall cycles and no phase events fails.
 3. **Model agreement** — when a program did enough successful sync
    calls to be a signal, the measured mechanism-cycle totals must agree
    in *direction* with the analytic Table-7 model: XPC's per-chain cost
@@ -79,7 +81,7 @@ class DiffResult:
     expected: List[tuple]
     reports: List[ExecutionReport]
     divergences: List[Divergence] = field(default_factory=list)
-    #: Failed invariants (monotonicity, PMU identity, model direction,
+    #: Failed invariants (monotonicity, phase partition, model direction,
     #: the per-op protocol catalogue): real failures, but not op-level
     #: divergences a shrinker can chase.
     invariant_failures: List[str] = field(default_factory=list)
@@ -96,18 +98,23 @@ def expected_outcomes(program: Program) -> List[tuple]:
 
 
 def run_one(factory: Callable[[], object],
-            program: Program) -> Tuple[ExecutionReport, object, int]:
-    """Run *program* on a fresh executor under its own obs session.
+            program: Program) -> Tuple[ExecutionReport, object,
+                                       obs.PhaseWatch]:
+    """Run *program* on a fresh executor under its own phase watch.
 
-    With ``REPRO_XPCSAN=1`` in the environment, every executor (not
-    just the ``+xpcsan`` roster variant) also runs under a fresh XPCSan
-    session, and its findings land in ``report.san_issues``.
+    The watch subscribes the probe's ``phase`` site alone, under the
+    obs key, so an outer :class:`~repro.obs.ObsSession` records none
+    of the run.  With ``REPRO_XPCSAN=1`` in the environment, every
+    executor (not just the ``+xpcsan`` roster variant) also runs under
+    a fresh XPCSan session, and its findings land in
+    ``report.san_issues``.  A wrapper's own fault plan or XPCSan
+    session is armed by its ``run``.
 
-    Returns ``(report, pmu_snapshot, sim_cycles)``.
+    Returns ``(report, machine, watch)``.
     """
-    session = obs.ObsSession()
+    watch = obs.PhaseWatch()
     san_session = san.from_env()
-    with obs.active(session):
+    with obs.active(watch):
         if san_session is not None:
             with san.active(san_session):
                 executor = factory()
@@ -115,31 +122,28 @@ def run_one(factory: Callable[[], object],
         else:
             executor = factory()
             report = executor.run(program)
-        snapshot = session.pmu.snapshot()
-        sim_cycles = sum(core.cycles for core in executor.machine.cores)
     if san_session is not None and report.san_issues is None:
         report.san_issues = [issue.describe()
                              for issue in san_session.issues]
-    return report, snapshot, sim_cycles
+    return report, executor.machine, watch
 
 
-def _check_clock(report: ExecutionReport, snapshot) -> List[str]:
+def _check_clock(report: ExecutionReport, machine,
+                 watch: obs.PhaseWatch) -> List[str]:
     problems = []
     for i, delta in enumerate(report.op_cycles):
         if delta < 0:
             problems.append(f"{report.executor}: op {i} moved the "
                             f"clock backwards ({delta})")
-    for label in snapshot.labels():
-        bank = snapshot.bank(label)
-        total = bank.get("xcall.cycles", 0)
+    for core in machine.cores:
+        engine = core.xpc_engine
+        total = engine.stats.xcall_cycles if engine is not None else 0
         if not total:
             continue
-        phases = (bank.get("cycles.xcall.captest", 0)
-                  + bank.get("cycles.xcall.xentry", 0)
-                  + bank.get("cycles.xcall.linkpush", 0))
+        phases = watch.xcall_cycles(core)
         if phases != total:
             problems.append(
-                f"{report.executor}: PMU bank {label} phase partition "
+                f"{report.executor}: core{core.core_id} phase partition "
                 f"{phases} != xcall.cycles {total}")
     return problems
 
@@ -208,10 +212,10 @@ def run_differential(program: Program,
     invariant_failures: List[str] = []
     sim_cycles = 0
     for _name, factory in factories:
-        report, snapshot, cycles = run_one(factory, program)
+        report, machine, watch = run_one(factory, program)
         reports.append(report)
-        sim_cycles += cycles
-        invariant_failures.extend(_check_clock(report, snapshot))
+        sim_cycles += sum(core.cycles for core in machine.cores)
+        invariant_failures.extend(_check_clock(report, machine, watch))
         invariant_failures.extend(report.invariant_failures)
         for issue in report.san_issues or ():
             invariant_failures.append(f"{report.executor}: {issue}")

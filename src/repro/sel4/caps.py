@@ -39,7 +39,7 @@ class Capability:
     def derive(self, rights: Right, badge: Optional[int] = None
                ) -> "Capability":
         """Mint a diminished copy (rights may only shrink)."""
-        if rights & ~self.rights:
+        if int(rights) & ~int(self.rights):  # IntFlag ops are Python calls
             raise CapError("cannot amplify rights while minting")
         return Capability(self.ctype, self.obj, rights,
                           self.badge if badge is None else badge)
@@ -72,7 +72,7 @@ class CSpace:
                 f"slot {slot} holds a {cap.ctype.value} cap, "
                 f"expected {ctype.value}"
             )
-        if need & ~cap.rights:
+        if int(need) & ~int(cap.rights):  # IntFlag ops are Python calls
             raise CapError(f"slot {slot} lacks rights {need!r}")
         return cap
 

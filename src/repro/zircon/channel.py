@@ -77,7 +77,7 @@ class HandleTable:
         if entry is None:
             raise HandleError(f"bad handle {handle}")
         obj, rights = entry
-        if need & ~rights:
+        if int(need) & ~int(rights):  # IntFlag ops are Python calls
             raise HandleError(f"handle {handle} lacks rights {need!r}")
         return obj
 
