@@ -27,10 +27,10 @@ from repro.xpc.relayseg import RelaySegment, SegReg
 class AshmemRegion(KernelObject):
     """One ashmem region: plain shared pages or a relay segment."""
 
-    def __init__(self, size: int, pa: int = -1,
+    def __init__(self, koid: int, size: int, pa: int = -1,
                  relay_seg: Optional[RelaySegment] = None,
                  name: str = "") -> None:
-        super().__init__(name or "ashmem")
+        super().__init__(koid, name or "ashmem")
         self.size = size
         self.pa = pa
         self.relay_seg = relay_seg
@@ -65,10 +65,11 @@ class AshmemSubsystem:
         if use_relay:
             seg, slot = self.kernel.create_relay_seg(core, process, size)
             process.seg_list.drop(slot)  # managed by the framework
-            region = AshmemRegion(size, relay_seg=seg)
+            region = AshmemRegion(next(self.kernel.koids), size,
+                                  relay_seg=seg)
         else:
             pa = self.kernel.machine.memory.alloc_contiguous(size)
-            region = AshmemRegion(size, pa=pa)
+            region = AshmemRegion(next(self.kernel.koids), size, pa=pa)
         fd = self._alloc_fd(process)
         self._table(process)[fd] = region
         return fd

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import copy
 import hashlib
+import itertools
 import mmap
 from typing import Dict, Iterator, List, Optional, Set
 
@@ -153,8 +154,8 @@ class FrameAllocator:
 class PhysicalMemory:
     """Byte-addressable DRAM plus its frame allocator."""
 
-    __snap_state__ = ("size", "_data", "allocator", "_snap_pages",
-                      "_snap_dirty")
+    __snap_state__ = ("size", "_data", "allocator", "asids",
+                      "_snap_pages", "_snap_dirty")
 
     def __init__(self, size: int = 256 * 1024 * 1024,
                  reserved_bytes: int = PAGE_SIZE) -> None:
@@ -165,6 +166,9 @@ class PhysicalMemory:
         self.allocator = FrameAllocator(
             size // PAGE_SIZE, reserved_bytes // PAGE_SIZE
         )
+        #: ASIDs of the address spaces built on this memory: scoped to
+        #: the machine, like the tagged TLBs that match on them.
+        self.asids = itertools.count(1)
         #: COW page cache: frame -> immutable 4 KB ``bytes``, shared
         #: with the snapshots taken off this memory.  Zero pages are
         #: never cached (absence means all-zero).
@@ -252,6 +256,7 @@ class PhysicalMemory:
         memo[id(self)] = dup
         dup.size = self.size
         dup.allocator = copy.deepcopy(self.allocator, memo)
+        dup.asids = copy.deepcopy(self.asids, memo)
         if self._data is None:
             # Dormant -> live: materialize the pages (restore path).
             data = _fresh_dram(self.size)
@@ -280,14 +285,15 @@ class PhysicalMemory:
 
     def __snap_fingerprint__(self):
         """Canonical content identity for :mod:`repro.snap.fingerprint`:
-        the sorted non-zero page digests plus allocator state, identical
-        whether the memory is live or dormant."""
+        the sorted non-zero page digests plus allocator and ASID state,
+        identical whether the memory is live or dormant."""
         pages = tuple(
             (frame, hashlib.sha256(page).hexdigest())
             for frame, page in sorted(self.snap_page_table().items()))
         alloc = self.allocator
         return ("PhysicalMemory", self.size, pages, alloc.total_frames,
-                alloc.allocated, tuple(tuple(e) for e in alloc._extents))
+                alloc.allocated, tuple(tuple(e) for e in alloc._extents),
+                self.asids)
 
     # -- allocation ------------------------------------------------------
     # Invariant: every frame on the free list reads zero.  DRAM starts

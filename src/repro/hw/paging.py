@@ -309,13 +309,10 @@ def _round_up(nbytes: int) -> int:
 class AddressSpace:
     """A page table plus its ASID and a simple VA region allocator."""
 
-    _next_asid = 1
-
     def __init__(self, mem: PhysicalMemory, name: str = "") -> None:
         self.mem = mem
-        self.name = name or f"as{AddressSpace._next_asid}"
-        self.asid = AddressSpace._next_asid
-        AddressSpace._next_asid += 1
+        self.asid = next(mem.asids)
+        self.name = name or f"as{self.asid}"
         self.page_table = PageTable(mem)
         self._va_cursor = 0x0000_0040_0000_0000  # user mmap area
 

@@ -66,9 +66,10 @@ class BaseKernel:
         self.threads: List[Thread] = []
         self.relay_segments: List[RelaySegment] = []
         self._relay_va_cursor = RELAY_VA_BASE
-        # Segment IDs are scoped to this kernel: deterministic per
-        # machine, never shared across simulator instances.
+        # Segment IDs and koids are scoped to this kernel: deterministic
+        # per machine, never shared across simulator instances.
         self._seg_ids = itertools.count(1)
+        self.koids = itertools.count(1)
         self.ipc_stats: Dict[str, int] = {"calls": 0, "bytes": 0}
         #: Subsystems (e.g. the Binder driver) that want to know when a
         #: process dies — callables taking the dead Process.
@@ -86,7 +87,7 @@ class BaseKernel:
     # ------------------------------------------------------------------
     def create_process(self, name: str = "") -> Process:
         aspace = AddressSpace(self.machine.memory, name)
-        process = Process(aspace, name)
+        process = Process(next(self.koids), aspace, name)
         self.processes.append(process)
         return process
 
@@ -94,7 +95,7 @@ class BaseKernel:
         """Create a thread and its per-thread XPC objects (§4.1)."""
         if not process.alive:
             raise KernelError(f"{process} is dead")
-        thread = Thread(process, name)
+        thread = Thread(next(self.koids), process, name)
         self.threads.append(thread)
         return thread
 

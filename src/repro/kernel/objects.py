@@ -20,18 +20,14 @@ class Right(enum.IntFlag):
 class KernelObject:
     """Base class for anything a capability or handle can point at.
 
-    The koid counter is a plain class int (not ``itertools.count``) so
-    :mod:`repro.snap` can read and restore it: replaying from a snapshot
-    must mint the same koids (and thus the same default names) the
-    original run did.
+    Its koid comes from the kernel that creates it (``BaseKernel.koids``),
+    so koids are unique within one kernel, as in Zircon, and a rebuilt
+    or restored world mints the same ones.
     """
 
-    _next_koid = 1
-
-    def __init__(self, name: str = "") -> None:
-        self.koid = KernelObject._next_koid
-        KernelObject._next_koid += 1
-        self.name = name or f"{type(self).__name__}-{self.koid}"
+    def __init__(self, koid: int, name: str = "") -> None:
+        self.koid = koid
+        self.name = name or f"{type(self).__name__}-{koid}"
 
     def __repr__(self) -> str:
         return f"<{type(self).__name__} koid={self.koid} {self.name!r}>"

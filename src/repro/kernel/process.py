@@ -43,8 +43,9 @@ class RuntimeState:
 class Process(KernelObject):
     """An address space plus its threads and per-AS XPC objects."""
 
-    def __init__(self, aspace: AddressSpace, name: str = "") -> None:
-        super().__init__(name)
+    def __init__(self, koid: int, aspace: AddressSpace,
+                 name: str = "") -> None:
+        super().__init__(koid, name)
         self.aspace = aspace
         self.threads: List["Thread"] = []
         self.seg_list = SegList()      # per-address-space (§4.1)
@@ -59,8 +60,9 @@ class Process(KernelObject):
 class Thread(KernelObject):
     """A schedulable thread with per-thread XPC architectural state."""
 
-    def __init__(self, process: Process, name: str = "") -> None:
-        super().__init__(name or f"{process.name}.t{len(process.threads)}")
+    def __init__(self, koid: int, process: Process, name: str = "") -> None:
+        super().__init__(koid,
+                         name or f"{process.name}.t{len(process.threads)}")
         self.process = process
         process.threads.append(self)
         self.sched = SchedState()

@@ -15,19 +15,14 @@ bisecting sentry).  Three surfaces:
 * **the sentry** — :mod:`repro.prof.sentry` bisects a cycle drift to
   the first divergent op via snapshots and names the guilty phase in
   a flame-tree diff.
+
+The package re-exports only the SLO names: the cluster fabric imports
+:mod:`repro.prof.slo`, and importing the sentry here would load the
+snapshot, verify and fault packages into every cluster run.  Import
+the sentry from :mod:`repro.prof.sentry`.
 """
 
-from repro.obs.profiler import (CycleProfiler, ProfileNode,
-                                diff_collapsed)
-from repro.prof.sentry import (SentryReport, bisect_regression,
-                               profile_op, record_scenario,
-                               seed_captest_regression)
 from repro.prof.slo import (Alert, SLOEngine, SLOParseError, SLOSpec,
                             SLOStatus)
 
-__all__ = [
-    "Alert", "CycleProfiler", "ProfileNode",
-    "SLOEngine", "SLOParseError", "SLOSpec", "SLOStatus",
-    "SentryReport", "bisect_regression", "diff_collapsed",
-    "profile_op", "record_scenario", "seed_captest_regression",
-]
+__all__ = ["Alert", "SLOEngine", "SLOParseError", "SLOSpec", "SLOStatus"]

@@ -17,8 +17,8 @@ from repro.kernel.process import Thread
 class Endpoint(KernelObject):
     """A synchronous endpoint with one bound receiver."""
 
-    def __init__(self, name: str = "") -> None:
-        super().__init__(name)
+    def __init__(self, koid: int, name: str = "") -> None:
+        super().__init__(koid, name)
         self.server_thread: Optional[Thread] = None
         self.handler: Optional[Callable] = None
         self.calls = 0

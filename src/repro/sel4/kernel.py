@@ -88,7 +88,7 @@ class Sel4Kernel(BaseKernel):
 
     def create_endpoint(self, process: Process, name: str = "") -> int:
         """Create an endpoint; returns its slot in *process*'s CSpace."""
-        endpoint = Endpoint(name)
+        endpoint = Endpoint(next(self.koids), name)
         cap = Capability(CapType.ENDPOINT, endpoint, Right.ALL)
         return self.cspace_of(process).insert(cap)
 
@@ -116,7 +116,8 @@ class Sel4Kernel(BaseKernel):
         from repro.sel4.notification import Notification
         # The owner's cap carries badge 1 so an un-minted signal still
         # sets a bit (binary-semaphore behaviour).
-        cap = Capability(CapType.NOTIFICATION, Notification(name),
+        cap = Capability(CapType.NOTIFICATION,
+                         Notification(next(self.koids), name),
                          Right.ALL, badge=1)
         return self.cspace_of(process).insert(cap)
 

@@ -27,8 +27,8 @@ class WouldBlock(Exception):
 class Notification(KernelObject):
     """The notification word plus (at most) one blocked waiter."""
 
-    def __init__(self, name: str = "") -> None:
-        super().__init__(name)
+    def __init__(self, koid: int, name: str = "") -> None:
+        super().__init__(koid, name)
         self.word = 0
         self.waiter: Optional[Thread] = None
         self.signals = 0

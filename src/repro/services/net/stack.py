@@ -41,6 +41,7 @@ class NetStack:
         self._conns: Dict[Tuple[int, int], TCB] = {}
         self._ids = itertools.count(1)
         self._ephemeral = itertools.count(49152)
+        self._isns = itertools.count(65000, 64000)    # TCP ISNs
         self.segments_tx = 0
         self.segments_rx = 0
         self.frames_rejected = 0
@@ -51,7 +52,7 @@ class NetStack:
     def socket(self) -> int:
         sock_id = next(self._ids)
         self._sockets[sock_id] = TCB(
-            (LOCAL_IP, next(self._ephemeral)),
+            (LOCAL_IP, next(self._ephemeral)), self._isns,
             delayed_ack=self.delayed_acks)
         return sock_id
 

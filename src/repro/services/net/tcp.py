@@ -14,7 +14,7 @@ import enum
 import struct
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Deque, Dict, List, Optional, Tuple
+from typing import Deque, Dict, Iterator, List, Optional, Tuple
 
 from repro.services.net.checksum import internet_checksum
 
@@ -91,18 +91,20 @@ class _Unacked:
 
 
 class TCB:
-    """One connection's transmission control block."""
+    """One connection's transmission control block.
 
-    _iss_counter = 1000
+    *isns* is the owning stack's initial-sequence-number counter; a
+    listener draws its children's ISNs from it too.
+    """
 
-    def __init__(self, local: Tuple[int, int],
+    def __init__(self, local: Tuple[int, int], isns: Iterator[int],
                  remote: Optional[Tuple[int, int]] = None,
                  delayed_ack: bool = False) -> None:
         self.local = local            # (ip, port)
         self.remote = remote
         self.state = TCPState.CLOSED
-        TCB._iss_counter += 64000
-        self.snd_una = self.snd_nxt = TCB._iss_counter
+        self.isns = isns
+        self.snd_una = self.snd_nxt = next(isns)
         self.rcv_nxt = 0
         self.recv_buffer = bytearray()
         self.out_of_order: Dict[int, bytes] = {}
@@ -178,7 +180,7 @@ class TCB:
         """The TCP state machine, one segment at a time."""
         if self.state is TCPState.LISTEN:
             if seg.flags & FLAG_SYN:
-                child = TCB(self.local, (0, seg.src_port),
+                child = TCB(self.local, self.isns, (0, seg.src_port),
                             delayed_ack=self.delayed_ack)
                 child.rcv_nxt = seg.seq + 1
                 child.remote = (0, seg.src_port)

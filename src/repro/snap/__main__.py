@@ -9,7 +9,8 @@
   op that breaks the chosen predicate;
 * ``identity`` — the CI byte-identity tier: fig5/fig7-shaped worlds
   plus N generated differential programs, each checked straight-line
-  vs restore-and-replay (exit 1 on any divergence);
+  vs restore-and-replay, resume-from-midpoint and a world rebuilt from
+  its builder (exit 1 on any divergence);
 * ``probe`` — print the canonical fingerprint of a small deterministic
   world; run under different ``PYTHONHASHSEED`` values it must not
   move (the hash-determinism contract of the fingerprint walker).
@@ -77,10 +78,6 @@ def _restore(args) -> int:
         if not (args.scenario or args.program):
             raise SystemExit("--run-rest needs the originating "
                              "--scenario or --program for the op list")
-        # Build the op list BEFORE reviving: scenario builders allocate
-        # kernel objects, and restore() must be the last writer of the
-        # process-global allocator counters or the replayed run drifts
-        # from the straight-line lineage.
         _, ops = _build(args)
         rest = ops[snapshot.op_index:]
     world = restore(snapshot)
@@ -122,9 +119,10 @@ def _bisect(args) -> int:
     return 0
 
 
-def _identity_one(world, ops, label: str, every_ops: int) -> bool:
-    """Straight-line vs restore-and-replay byte identity for one
-    world; True when identical."""
+def _identity_one(build, label: str, every_ops: int) -> bool:
+    """Straight-line vs restore-and-replay byte identity for the world
+    ``build()`` returns with its ops; True when identical."""
+    world, ops = build()
     snap0 = capture(world, op_index=0)
     recorder = Recorder(world, every_ops=every_ops)
     recorder.run(ops)
@@ -136,10 +134,13 @@ def _identity_one(world, ops, label: str, every_ops: int) -> bool:
     resumed = recorder.resume(mid)
     for op in recorder.ops[mid:]:
         resumed.step(op)
+    rebuilt, _ = build()
+    rebuilt.run(ops)
 
     ok = True
     for mode, candidate in (("restore-S0", replayed),
-                            ("resume-mid", resumed)):
+                            ("resume-mid", resumed),
+                            ("rebuild", rebuilt)):
         if (candidate.outcomes != recorder.world.outcomes
                 or live_fingerprint(candidate) != fp_straight):
             print(f"  {label}: {mode} DIVERGED")
@@ -154,8 +155,7 @@ def _identity(args) -> int:
     bad = 0
     print("scenario worlds:")
     for name, builder in SCENARIOS.items():
-        world, ops = builder()
-        if not _identity_one(world, ops, name, args.every_ops):
+        if not _identity_one(builder, name, args.every_ops):
             bad += 1
     factories = default_executor_factories()
     for i in range(args.programs):
@@ -165,9 +165,10 @@ def _identity(args) -> int:
         exec_name, factory = factories[i % len(factories)]
         print(f"program seed={args.seed + i} ({len(program.ops)} ops, "
               f"{exec_name}):")
-        world = ExecutorWorld.build(factory, observe=True)
-        if not _identity_one(world, list(program.ops), exec_name,
-                             args.every_ops):
+        ops = list(program.ops)
+        if not _identity_one(
+                lambda: (ExecutorWorld.build(factory, observe=True), ops),
+                exec_name, args.every_ops):
             bad += 1
     if bad:
         print(f"{bad} identity failure(s)")

@@ -1,8 +1,9 @@
 """Snapshot capture/restore and the content-addressed snapshot store.
 
-A snapshot is a **dormant deep copy** of a world graph plus the few
-process-global counters that live outside it.  Capture and restore are
-both one ``copy.deepcopy`` pass:
+A snapshot is a **dormant deep copy** of a world graph.  Every
+allocator a world draws from (koids, ASIDs, segment IDs, TCP ISNs)
+lives inside it, so capture and restore are both one ``copy.deepcopy``
+pass:
 
 * ``capture(world)`` — deepcopy the live graph.  Stateful leaves
   cooperate through ``__deepcopy__``:
@@ -12,8 +13,7 @@ both one ``copy.deepcopy`` pass:
   checkpoint costs only the pages dirtied since the last one, and
   the first only the allocated frames);
 * ``restore(snap)`` — deepcopy the dormant graph back into a fresh,
-  fully live world (memory rematerialises its DRAM buffer) and reinstate
-  the global counters (koid/asid allocators) to their captured values.
+  fully live world (memory rematerialises its DRAM buffer).
 
 Restore never mutates the snapshot: one snapshot can seed any number of
 divergent futures (that is what the shrinker and the time-travel
@@ -28,38 +28,22 @@ from __future__ import annotations
 import copy
 import os
 import pickle
-from typing import Dict, List, Optional
+from typing import List, Optional
 
-from repro.hw.paging import AddressSpace
-from repro.kernel.objects import KernelObject
 from repro.snap.fingerprint import fingerprint
 
 #: Length of the store key prefix taken from the fingerprint.
 KEY_LEN = 12
 
 
-def _capture_globals() -> Dict[str, int]:
-    """The process-global allocator counters that live outside any
-    world graph but feed object construction inside it."""
-    return {"next_koid": KernelObject._next_koid,
-            "next_asid": AddressSpace._next_asid}
-
-
-def _restore_globals(state: Dict[str, int]) -> None:
-    KernelObject._next_koid = state["next_koid"]
-    AddressSpace._next_asid = state["next_asid"]
-
-
 class Snapshot:
     """One dormant world graph, cycle-stamped and content-addressed."""
 
-    __snap_state__ = ("world", "globals_state", "cycle", "op_index",
-                      "_fp")
+    __snap_state__ = ("world", "cycle", "op_index", "_fp")
 
-    def __init__(self, world: object, globals_state: Dict[str, int],
-                 cycle: int, op_index: Optional[int] = None) -> None:
+    def __init__(self, world: object, cycle: int,
+                 op_index: Optional[int] = None) -> None:
         self.world = world                  # dormant graph — do not run
-        self.globals_state = globals_state
         self.cycle = cycle
         self.op_index = op_index
         self._fp: Optional[str] = None
@@ -69,7 +53,7 @@ class Snapshot:
         """Canonical digest of the captured state (computed lazily and
         cached — fingerprinting walks the whole graph)."""
         if self._fp is None:
-            self._fp = fingerprint((self.world, self.globals_state))
+            self._fp = fingerprint(self.world)
         return self._fp
 
     @property
@@ -88,18 +72,15 @@ def world_clock(world: object) -> int:
 
 
 def capture(world: object, op_index: Optional[int] = None) -> Snapshot:
-    """Snapshot *world* (live → dormant deepcopy + global counters)."""
-    return Snapshot(world=copy.deepcopy(world),
-                    globals_state=_capture_globals(),
-                    cycle=world_clock(world), op_index=op_index)
+    """Snapshot *world* (live → dormant deepcopy)."""
+    return Snapshot(world=copy.deepcopy(world), cycle=world_clock(world),
+                    op_index=op_index)
 
 
 def restore(snapshot: Snapshot) -> object:
     """Revive *snapshot* into a fresh live world (dormant → live
     deepcopy); the snapshot itself stays dormant and reusable."""
-    world = copy.deepcopy(snapshot.world)
-    _restore_globals(snapshot.globals_state)
-    return world
+    return copy.deepcopy(snapshot.world)
 
 
 def live_fingerprint(world: object) -> str:

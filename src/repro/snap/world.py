@@ -3,9 +3,8 @@
 A world is a single root that owns everything the simulation touches —
 machine, kernel, transports, servers, plus the run's own bookkeeping
 (outcomes, per-op cycle deltas, observability session).  ``capture``
-deepcopies the root, so anything the run can observe must hang off it;
-the only state outside the graph is the pair of process-global
-allocator counters, which :mod:`repro.snap.core` carries alongside.
+deepcopies the root, so anything the run can observe must hang off it,
+the allocators that number its objects included.
 
 Two shapes cover the stack:
 

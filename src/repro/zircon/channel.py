@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Deque, Dict, Optional, Tuple
+from typing import Deque, Dict, Iterator, Optional, Tuple
 
 from repro.kernel.objects import KernelObject, Right
 
@@ -34,8 +34,8 @@ class Message:
 class ChannelEnd(KernelObject):
     """One endpoint of a channel pair."""
 
-    def __init__(self, name: str = "") -> None:
-        super().__init__(name)
+    def __init__(self, koid: int, name: str = "") -> None:
+        super().__init__(koid, name)
         self.peer: Optional["ChannelEnd"] = None
         self.queue: Deque[Message] = deque()
         self.closed = False
@@ -51,9 +51,10 @@ class ChannelEnd(KernelObject):
         return self.queue.popleft()
 
 
-def channel_create(name: str = "chan") -> Tuple[ChannelEnd, ChannelEnd]:
-    a = ChannelEnd(f"{name}.a")
-    b = ChannelEnd(f"{name}.b")
+def channel_create(koids: Iterator[int],
+                   name: str = "chan") -> Tuple[ChannelEnd, ChannelEnd]:
+    a = ChannelEnd(next(koids), f"{name}.a")
+    b = ChannelEnd(next(koids), f"{name}.b")
     a.peer, b.peer = b, a
     return a, b
 

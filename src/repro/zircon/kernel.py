@@ -42,7 +42,7 @@ class ZirconKernel(BaseKernel):
     def create_channel(self, a: Process, b: Process,
                        name: str = "chan") -> Tuple[int, int]:
         """Create a channel pair; returns (handle_in_a, handle_in_b)."""
-        end_a, end_b = channel_create(name)
+        end_a, end_b = channel_create(self.koids, name)
         return (self.handle_table(a).install(end_a),
                 self.handle_table(b).install(end_b))
 

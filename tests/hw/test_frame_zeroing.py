@@ -15,7 +15,7 @@ the generated programs.
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.hw.machine import Machine
 from repro.hw.memory import OutOfMemoryError, PAGE_SIZE, PhysicalMemory
@@ -118,7 +118,9 @@ def _step(rig: _Rig, op: tuple) -> None:
         targets = rig.writable()
         if targets:
             pa, size = targets[arg % len(targets)]
-            mem.write(pa + (arg * 97) % size, bytes([arg % 255 + 1]) * 16)
+            # The 16-byte store stays inside its target.
+            mem.write(pa + (arg * 97) % (size - 15),
+                      bytes([arg % 255 + 1]) * 16)
     elif kind == "free_page":
         pa = _pick(rig.pages, arg)
         if pa is not None:
@@ -213,6 +215,7 @@ def _checked_alloc(original):
 
 
 @given(ops=OPS)
+@example(ops=[("page", 0), ("write", 211)])   # ran 3 bytes into a free frame
 @settings(max_examples=60, deadline=None)
 def test_free_frames_read_zero_through_every_free_path(ops):
     with mock.patch.object(

@@ -23,7 +23,6 @@ as a hash mismatch.
 
 import hashlib
 import json
-from contextlib import contextmanager
 
 import pytest
 
@@ -31,29 +30,11 @@ from repro.faults import FaultPlan
 from repro.hw.memory import PAGE_SIZE
 from repro.proptest.executors import default_executor_factories
 from repro.proptest.gen import generate
-from repro.services.net.tcp import TCB
-from repro.snap.core import _capture_globals, _restore_globals
 from repro.snap.scenarios import SCENARIOS
 
 
 def _sha(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
-
-
-@contextmanager
-def fresh_counters():
-    """Start the process-global koid/ASID counters and the TCP initial
-    sequence number from their import-time values (all of them land in
-    DRAM), restoring them afterwards, so a hash does not depend on what
-    ran earlier in the session."""
-    saved, iss = _capture_globals(), TCB._iss_counter
-    _restore_globals({"next_koid": 1, "next_asid": 1})
-    TCB._iss_counter = 1000
-    try:
-        yield
-    finally:
-        _restore_globals(saved)
-        TCB._iss_counter = iss
 
 
 def _page_view(memory) -> list:
@@ -66,17 +47,15 @@ def memories(world: str) -> list:
     """``[(label, PhysicalMemory)]`` after running one world: the
     scenario's machine, or each roster executor's that has DRAM."""
     if world in SCENARIOS:
-        with fresh_counters():
-            state, ops = SCENARIOS[world]()
-            for op in ops:
-                state.step(op)
+        state, ops = SCENARIOS[world]()
+        for op in ops:
+            state.step(op)
         return [(world, state.machine.memory)]
     program = generate(int(world.split(":")[1]))
     out = []
     for name, factory in default_executor_factories():
-        with fresh_counters():
-            executor = factory()
-            executor.run(program)
+        executor = factory()
+        executor.run(program)
         memory = getattr(executor.machine, "memory", None)
         if memory is not None:
             out.append((name, memory))
@@ -110,15 +89,13 @@ def stale_tlb_trace() -> str:
     plan = (FaultPlan(seed=5)
             .arm("hw.tlb.stale_entry", nth=7)
             .arm("hw.tlb.stale_entry", probability=0.1, times=None))
-    with fresh_counters():
-        state, ops = SCENARIOS["fig5"]()
-        pages = 300                 # more than the TLB's 256 entries
-        touch = TouchPages(state.core.aspace.mmap(pages * PAGE_SIZE),
-                           pages)
-        state.plan = plan
-        for op in ops:
-            state.step(op)
-            state.step(touch)
+    state, ops = SCENARIOS["fig5"]()
+    pages = 300                     # more than the TLB's 256 entries
+    touch = TouchPages(state.core.aspace.mmap(pages * PAGE_SIZE), pages)
+    state.plan = plan
+    for op in ops:
+        state.step(op)
+        state.step(touch)
     tlb = state.core.tlb.stats
     return plan.trace_json() + "\n" + json.dumps(
         [state.core.cycles, tlb.hits, tlb.misses, tlb.flushes])

@@ -8,7 +8,7 @@ from repro.sel4.caps import CapError, CapType, Capability, CSpace
 
 @pytest.fixture
 def endpoint_cap():
-    return Capability(CapType.ENDPOINT, KernelObject("ep"), Right.ALL)
+    return Capability(CapType.ENDPOINT, KernelObject(1, "ep"), Right.ALL)
 
 
 def test_insert_lookup(endpoint_cap):

@@ -1,5 +1,7 @@
 """Network stack: checksum, IP, TCP state machine."""
 
+import itertools
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -102,9 +104,10 @@ def wire(a: TCB, b: TCB, drop_indices=()):
 
 
 def handshake():
-    server = TCB((0, 80))
+    isns = itertools.count(65000, 64000)
+    server = TCB((0, 80), isns)
     server.listen()
-    client = TCB((0, 5000))
+    client = TCB((0, 5000), isns)
     client.connect((0, 80))
     # SYN
     server.on_segment(client.outbox.pop(0))
@@ -194,12 +197,12 @@ class TestTCB:
         assert client.state in (TCPState.TIME_WAIT, TCPState.CLOSED)
 
     def test_send_before_established_rejected(self):
-        tcb = TCB((0, 1))
+        tcb = TCB((0, 1), itertools.count(65000, 64000))
         with pytest.raises(TCPError):
             tcb.send(b"too soon")
 
     def test_connect_twice_rejected(self):
-        tcb = TCB((0, 1))
+        tcb = TCB((0, 1), itertools.count(65000, 64000))
         tcb.connect((0, 2))
         with pytest.raises(TCPError):
             tcb.connect((0, 2))

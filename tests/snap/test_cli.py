@@ -1,11 +1,9 @@
 """The snapshot CLIs: ``python -m repro.snap`` and the time-travel
 side of ``python -m repro.proptest`` (``--replay --at-op``).
 
-Save/restore runs use one subprocess per invocation: each gets a fresh
-interpreter, so the process-global allocator counters start identical
-and content-addressed keys/fingerprints are comparable across runs.
-In-process invocations (bisect, --at-op) keep every restore inside one
-lineage, which the tools guarantee by construction.
+Save/restore runs use one subprocess per invocation, as a user would
+run them; a world carries its own allocators, so content-addressed
+keys and fingerprints compare across runs and across processes.
 """
 
 import os

@@ -1,11 +1,9 @@
 """Capture/restore, the snapshot store, and Recorder positioning.
 
-Identity comparisons follow the single-lineage protocol: a fingerprint
-is only ever compared between a straight-line run and a restore of a
-snapshot taken *from that same run* (restore resets the process-global
-koid/asid allocators to the captured values, so the replay repeats the
-original allocation sequence exactly).  Outcome lists are value-based
-and compare fine across lineages.
+A world carries every allocator it draws from (koids, ASIDs, segment
+IDs, TCP ISNs), so a restore repeats the original allocation sequence
+exactly and fingerprints compare between any two runs of the same ops
+from the same state, whatever else ran in the process.
 """
 
 import os

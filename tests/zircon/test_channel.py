@@ -1,5 +1,7 @@
 """Zircon channels and handle tables."""
 
+import itertools
+
 import pytest
 
 from repro.kernel.objects import KernelObject, Right
@@ -9,7 +11,7 @@ from repro.zircon.channel import (
 
 
 def test_write_appears_on_peer():
-    a, b = channel_create()
+    a, b = channel_create(itertools.count(1))
     a.write(Message(("hello",), b"data"))
     msg = b.read()
     assert msg.meta == ("hello",)
@@ -17,27 +19,27 @@ def test_write_appears_on_peer():
 
 
 def test_read_empty_raises():
-    a, b = channel_create()
+    a, b = channel_create(itertools.count(1))
     with pytest.raises(HandleError):
         a.read()
 
 
 def test_fifo_order():
-    a, b = channel_create()
+    a, b = channel_create(itertools.count(1))
     for i in range(5):
         a.write(Message((i,), b""))
     assert [b.read().meta[0] for i in range(5)] == [0, 1, 2, 3, 4]
 
 
 def test_write_to_closed_peer_raises():
-    a, b = channel_create()
+    a, b = channel_create(itertools.count(1))
     b.closed = True
     with pytest.raises(HandleError):
         a.write(Message((), b""))
 
 
 def test_bidirectional():
-    a, b = channel_create()
+    a, b = channel_create(itertools.count(1))
     a.write(Message(("req",), b""))
     b.read()
     b.write(Message(("resp",), b""))
@@ -47,13 +49,13 @@ def test_bidirectional():
 class TestHandleTable:
     def test_install_get(self):
         table = HandleTable()
-        obj = KernelObject("o")
+        obj = KernelObject(1, "o")
         handle = table.install(obj, Right.READ)
         assert table.get(handle, Right.READ) is obj
 
     def test_rights_enforced(self):
         table = HandleTable()
-        handle = table.install(KernelObject("o"), Right.READ)
+        handle = table.install(KernelObject(1, "o"), Right.READ)
         with pytest.raises(HandleError):
             table.get(handle, Right.WRITE)
 
@@ -63,7 +65,7 @@ class TestHandleTable:
 
     def test_close_invalidates(self):
         table = HandleTable()
-        end, _ = channel_create()
+        end, _ = channel_create(itertools.count(1))
         handle = table.install(end)
         table.close(handle)
         assert end.closed
@@ -74,6 +76,6 @@ class TestHandleTable:
 
     def test_handles_are_per_table(self):
         t1, t2 = HandleTable(), HandleTable()
-        h1 = t1.install(KernelObject("x"))
+        h1 = t1.install(KernelObject(1, "x"))
         with pytest.raises(HandleError):
             t2.get(h1)
