@@ -45,8 +45,8 @@ def _capacity_point(nodes: int, requests: int,
         "nodes": nodes,
         "completed": stats.completed,
         "req_per_kcycle": round(stats.req_per_kcycle, 3),
-        "p50_cycles": stats.percentile(50),
-        "p99_cycles": stats.percentile(99),
+        "p50_cycles": round(stats.percentile(50), 1),
+        "p99_cycles": round(stats.percentile(99), 1),
         "remote_share": round(stats.remote / max(stats.completed, 1), 3),
     }
 
@@ -58,11 +58,9 @@ def _zipf_point(theta: float, requests: int) -> dict:
     load = LoadGenerator(clients=CLIENTS, keys=KEYS,
                          mean_interval=120.0, theta=theta, seed=SEED)
     stats = cluster.run("kv", load, requests, control_every=32)
-    served = {}
-    for node in cluster.live_nodes():
-        hist = cluster.registry.get(
-            f"cluster.{node.name}.req_latency_cycles")
-        served[node.name] = 0 if hist is None else hist.count
+    served = {node.name: cluster.registry.get(
+                  f"cluster.{node.name}.req_latency_cycles").count
+              for node in cluster.live_nodes()}
     total = max(sum(served.values()), 1)
     scale_events = sum(p.scale_events for n in cluster.live_nodes()
                       for p in n.live_pools)
@@ -72,7 +70,7 @@ def _zipf_point(theta: float, requests: int) -> dict:
         "hot_shard": hot_shard(cluster),
         "hot_share": round(max(served.values()) / total, 3),
         "scale_events": scale_events,
-        "p99_cycles": stats.percentile(99),
+        "p99_cycles": round(stats.percentile(99), 1),
     }
 
 

@@ -23,8 +23,8 @@ def report(stats, cluster) -> None:
           f"({stats.failed} failed), "
           f"{stats.remote} remote / {stats.local} local")
     print(f"  throughput {stats.req_per_kcycle:.2f} req/kcycle, "
-          f"p50 {stats.percentile(50)} cyc, "
-          f"p99 {stats.percentile(99)} cyc")
+          f"p50 {stats.percentile(50):.1f} cyc, "
+          f"p99 {stats.percentile(99):.1f} cyc")
     print(f"  hot shard: {hot_shard(cluster)}")
 
 

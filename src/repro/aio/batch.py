@@ -27,6 +27,7 @@ import repro.probe as probe
 from repro.hw.cpu import Core
 from repro.kernel.kernel import BaseKernel
 from repro.kernel.process import Thread
+from repro.runtime.supervisor import SupervisorError
 from repro.runtime.xpclib import xpc_call
 from repro.xpc.errors import (InvalidXEntryError, XPCError,
                               XPCPeerDiedError)
@@ -56,6 +57,8 @@ class XPCFuture:
         #: Open-loop workloads stamp the request's *arrival* time here;
         #: latency is then measured from arrival, not from submit.
         self.arrival_cycle = arrival_cycle
+        #: The batcher core's clock when the future was resolved or
+        #: failed — every path that completes a future stamps it.
         self.complete_cycle: Optional[int] = None
         self.seq: Optional[int] = None
         self.done = False
@@ -76,12 +79,15 @@ class XPCFuture:
         return (self.arrival_cycle if self.arrival_cycle is not None
                 else self.submit_cycle)
 
-    def _resolve(self, reply_meta: tuple, reply: bytes) -> None:
+    def _resolve(self, reply_meta: tuple, reply: bytes,
+                 cycle: int) -> None:
         self._reply_meta, self._reply = reply_meta, reply
+        self.complete_cycle = cycle
         self.done = True
 
-    def _fail(self, error: BaseException) -> None:
+    def _fail(self, error: BaseException, cycle: int) -> None:
         self._error = error
+        self.complete_cycle = cycle
         self.done = True
 
 
@@ -193,11 +199,16 @@ class Batcher:
         Returns the number of requests completed.  Worker death is
         retried up to ``max_flush_retries`` times against the (possibly
         supervisor-refreshed) entry id; requests that still cannot be
-        served fail their futures with ``XPCPeerDiedError``."""
+        served — retries spent, or the supervisor gave the worker up —
+        fail their futures with ``XPCPeerDiedError``."""
         completed = 0
         attempts = 0
         while self._pending:
-            entry = self.entry_id()
+            try:
+                entry = self.entry_id()
+            except SupervisorError:
+                self._fail_pending(-1)
+                break
             self.kernel.run_thread(self.core, self.client_thread)
             try:
                 # NO_MASK explicitly: the seg-mask register persists
@@ -253,10 +264,10 @@ class Batcher:
             if cqe.status == SQE_OK:
                 future._resolve(reply_meta,
                                 self.ring.read_bytes(cqe.rdata_off,
-                                                     cqe.rdata_len))
+                                                     cqe.rdata_len),
+                                core.cycles)
             else:
-                future._fail(XPCRequestError(reply_meta))
-            future.complete_cycle = core.cycles
+                future._fail(XPCRequestError(reply_meta), core.cycles)
             self.completed += 1
             n += 1
             if self.admission is not None:
@@ -282,13 +293,13 @@ class Batcher:
             try:
                 self._push(future)
             except XPCRingFullError as exc:
-                future._fail(exc)
+                future._fail(exc, self.core.cycles)
                 if self.admission is not None:
                     self.admission.release(self.core)
 
     def _fail_pending(self, entry: int) -> None:
         for future in self._pending.values():
-            future._fail(XPCPeerDiedError(entry))
+            future._fail(XPCPeerDiedError(entry), self.core.cycles)
             if self.admission is not None:
                 self.admission.release(self.core)
         self._pending.clear()

@@ -14,6 +14,14 @@ harvested into the fabric's own always-on
 not depend on ``repro.obs`` being armed), SLO engines are consulted and
 pools autoscale, and armed fault points may kill a node or cut a link.
 
+Every per-request metric update is stamped with the cycle the event
+already carries: a dispatch or a fabric-level failure with the request's
+``arrival``, a completion with its future's ``complete_cycle``.  The
+latency histograms — ``cluster.req_latency_cycles`` and one
+``cluster.<node>.req_latency_cycles`` per node — are registered when the
+cluster is built and when a node joins, and observed through held
+handles; no per-request path derives a cluster or node clock.
+
 Determinism: the stream is seeded, nodes are visited in id order, and
 no wall-clock or hash-order state leaks in — two runs with the same
 arguments produce identical per-node cycle counts and an identical
@@ -28,11 +36,12 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 import repro.probe as probe
 from repro.aio.ring import XPCRingFullError
+from repro.analysis.stats import percentile
 from repro.cluster.loadgen import LoadGenerator, Request
 from repro.cluster.naming import ShardedNameServer
 from repro.cluster.node import Node, NodeDownError
 from repro.cluster.rpc import ClusterPartitionedError, RpcLink, remote_submit
-from repro.obs.registry import MetricsRegistry
+from repro.obs.registry import Histogram, MetricsRegistry
 from repro.params import CycleParams, DEFAULT_PARAMS
 from repro.prof.slo import SLOEngine
 from repro.sel4 import Sel4Kernel
@@ -110,13 +119,10 @@ class ClusterRunStats:
     wall_cycles: int = 0
     latencies: List[int] = field(default_factory=list)
 
-    def percentile(self, p: float) -> int:
-        if not self.latencies:
-            return 0
-        ordered = sorted(self.latencies)
-        rank = min(len(ordered) - 1,
-                   max(0, int(round(p / 100.0 * (len(ordered) - 1)))))
-        return ordered[rank]
+    def percentile(self, p: float) -> float:
+        """Interpolated percentile of the completed latencies (0 when
+        nothing completed)."""
+        return percentile(self.latencies, p) if self.latencies else 0
 
     @property
     def req_per_kcycle(self) -> float:
@@ -149,6 +155,10 @@ class Cluster:
         #: autoscaling decisions must not depend on repro.obs being
         #: armed, or obs-on and obs-off runs would diverge.
         self.registry = MetricsRegistry()
+        self._latency = self.registry.histogram(
+            "cluster.req_latency_cycles")
+        #: node id -> that node's latency histogram, registered at join.
+        self._node_latency: Dict[int, Histogram] = {}
         self.naming = ShardedNameServer(vnodes=vnodes)
         self.link = RpcLink(self.params)
         self.nodes: Dict[int, Node] = {}
@@ -173,6 +183,8 @@ class Cluster:
                     breaker_cooldown=self.breaker_cooldown)
         self._next_node_id += 1
         self.nodes[node.node_id] = node
+        self._node_latency[node.node_id] = self.registry.histogram(
+            f"cluster.{node.name}.req_latency_cycles")
         self.naming.node_join(node)
         for spec in self._services.values():
             self._install(node, spec)
@@ -261,10 +273,10 @@ class Cluster:
                 self.naming.home(req.key).wait_until(req.arrival)
                 home = self.naming.resolve(name, req.key)
             except ServiceUnavailableError:
-                self._count_failure(name, "breaker_open")
+                self._count_failure("cluster.failed.breaker_open", req)
                 return False
             except (NodeDownError, KeyError):
-                self._count_failure(name, "resolve")
+                self._count_failure("cluster.failed.resolve", req)
                 return False
             try:
                 if home is frontend:
@@ -283,30 +295,29 @@ class Cluster:
                 self.naming.node_death(home.node_id)
                 if attempt == 0:
                     continue
-                self._count_failure(name, "node_down")
+                self._count_failure("cluster.failed.node_down", req)
                 return False
             except ClusterPartitionedError:
                 self.naming.report_failure(name, home)
-                self._count_failure(name, "partition")
+                self._count_failure("cluster.failed.partition", req)
                 return False
             except ServiceUnavailableError:
-                self._count_failure(name, "breaker_open")
+                self._count_failure("cluster.failed.breaker_open", req)
                 return False
             except XPCRingFullError:
-                self._count_failure(name, "ring_full")
+                self._count_failure("cluster.failed.ring_full", req)
                 return False
             self._inflight.append(_Inflight(req=req, node_id=home.node_id,
                                             remote=remote, future=future))
             self.registry.counter(
                 "cluster.remote" if remote else "cluster.local").inc(
-                    cycle=self.wall_cycles)
+                    cycle=req.arrival)
             self.naming.report_success(name, home)
             return True
         return False
 
-    def _count_failure(self, name: str, reason: str) -> None:
-        self.registry.counter(f"cluster.failed.{reason}").inc(
-            cycle=self.wall_cycles)
+    def _count_failure(self, counter: str, req: Request) -> None:
+        self.registry.counter(counter).inc(cycle=req.arrival)
 
     # -- the control step ----------------------------------------------
     def control_step(self, stats: Optional[ClusterRunStats] = None) -> int:
@@ -346,7 +357,6 @@ class Cluster:
                 still.append(inflight)
                 continue
             done += 1
-            node = self.nodes[inflight.node_id]
             try:
                 _, reply = future.result()
                 reply_bytes = len(reply)
@@ -357,7 +367,7 @@ class Cluster:
             latency = future.complete_cycle - inflight.req.arrival
             if inflight.remote:
                 latency += self.link.reply_transit(reply_bytes)
-            self._record(inflight, latency, ok, node)
+            self._record(inflight, latency, ok)
             if stats is not None:
                 stats.completed += 1 if ok else 0
                 stats.failed += 0 if ok else 1
@@ -368,16 +378,14 @@ class Cluster:
         self._inflight = still
         return done
 
-    def _record(self, inflight: _Inflight, latency: int, ok: bool,
-                node: Node) -> None:
-        self.registry.histogram("cluster.req_latency_cycles").observe(
-            latency, cycle=node.now)
-        self.registry.histogram(
-            f"cluster.{node.name}.req_latency_cycles").observe(
-                latency, cycle=node.now)
+    def _record(self, inflight: _Inflight, latency: int,
+                ok: bool) -> None:
+        cycle = inflight.future.complete_cycle
+        self._latency.observe(latency, cycle=cycle)
+        self._node_latency[inflight.node_id].observe(latency, cycle=cycle)
         if not ok:
             self.registry.counter("cluster.request_errors").inc(
-                cycle=node.now)
+                cycle=cycle)
         self._trace.update(
             f"{inflight.req.seq}:{inflight.req.key}:{inflight.node_id}:"
             f"{int(inflight.remote)}:{latency}:{int(ok)};".encode())
@@ -411,7 +419,9 @@ class Cluster:
     @property
     def wall_cycles(self) -> int:
         """Cluster wall-clock: the busiest live node's clock (all
-        clocks share cycle zero)."""
+        clocks share cycle zero).  A max over every core of every live
+        node, so it is read per run and per control decision, never per
+        request."""
         live = [n for n in self.nodes.values() if n.alive]
         if not live:
             return 0

@@ -5,7 +5,9 @@ decisions — autoscaling — must be identical whether or not an
 observability session is armed).  This module is the read side: a
 :func:`rollup` over that registry plus the per-node simulator state,
 shaped for the capacity report, and :func:`hot_shard`, the node that
-served the most requests.
+served the most requests.  The latency histograms it reads exist from
+the moment the cluster (or the node) does, so an idle node reports
+``requests: 0``.
 """
 
 from __future__ import annotations
@@ -29,9 +31,9 @@ def node_rollup(cluster, node) -> dict:
                                    for p in node.live_pools),
         "scale_events": sum(p.scale_events for p in node.live_pools),
         "completed": sum(p.completed for p in node.live_pools),
-        "requests": None if hist is None else hist.count,
+        "requests": hist.count,
     }
-    if hist is not None and hist.count:
+    if hist.count:
         out["p50_cycles"] = round(hist.percentile(50), 1)
         out["p99_cycles"] = round(hist.percentile(99), 1)
         out["mean_cycles"] = round(hist.mean, 1)
@@ -56,7 +58,7 @@ def rollup(cluster) -> dict:
         "rpc_bytes": cluster.link.bytes,
         "trace_hash": cluster.trace_hash(),
     }
-    if hist is not None and hist.count:
+    if hist.count:
         out["requests"] = hist.count
         out["p50_cycles"] = round(hist.percentile(50), 1)
         out["p99_cycles"] = round(hist.percentile(99), 1)
@@ -68,9 +70,8 @@ def hot_shard(cluster) -> Optional[str]:
     """The node that served the most requests (skew diagnostic)."""
     busiest, count = None, -1
     for node in cluster.nodes.values():
-        hist = cluster.registry.get(
-            f"cluster.{node.name}.req_latency_cycles")
-        served = 0 if hist is None else hist.count
+        served = cluster.registry.get(
+            f"cluster.{node.name}.req_latency_cycles").count
         if served > count:
             busiest, count = node.name, served
     return busiest

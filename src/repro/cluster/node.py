@@ -49,7 +49,7 @@ class _NodeDirectory:
 
     @property
     def core(self):
-        return self.node.machine.core0
+        return self.node.frontend_core
 
     def grant_to_thread(self, sid: int, thread) -> None:
         """Pools grant caps at construction; nothing to do here."""
@@ -69,6 +69,8 @@ class Node:
         self.machine = Machine(cores=cores, mem_bytes=mem_bytes,
                                params=params)
         self.kernel = kernel_cls(self.machine)
+        #: Core 0: the RPC client side and the node's idle clock.
+        self.frontend_core = self.machine.core0
         self.alive = True
         self.nameserver = NameServer(
             _NodeDirectory(self), breaker_threshold=breaker_threshold,
@@ -138,10 +140,6 @@ class Node:
         freeze its own clock and never finish a cooldown."""
         if self.alive and cycle > self.frontend_core.cycles:
             self.frontend_core.tick(cycle - self.frontend_core.cycles)
-
-    @property
-    def frontend_core(self):
-        return self.machine.core0
 
     @property
     def now(self) -> int:

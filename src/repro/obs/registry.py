@@ -14,8 +14,7 @@ cycle-identical.
 
 from __future__ import annotations
 
-from bisect import bisect_left
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.analysis.stats import percentile, percentile_of_sorted
 
@@ -80,12 +79,9 @@ class Histogram(Metric):
     """A distribution of observations (latencies in cycles, sizes...).
 
     Keeps a bounded window of raw samples for percentiles; ``count`` and
-    ``total`` cover every observation ever made.  Optional *buckets*
-    (sorted upper boundaries, right-closed like Prometheus: bucket *i*
-    covers ``(bounds[i-1], bounds[i]]``) add fixed cumulative bins that
-    never forget: once the sample ring has overflowed, percentiles fall
-    back to boundary-exact bucket interpolation instead of silently
-    computing over whatever window survived.
+    ``total`` cover every observation ever made.  A percentile is
+    :func:`repro.analysis.stats.percentile` over the retained window —
+    the one percentile definition in the tree.
 
     Until the ring first evicts, percentiles read a sorted view of the
     samples that each query extends with the samples observed since the
@@ -98,8 +94,7 @@ class Histogram(Metric):
     kind = "histogram"
 
     def __init__(self, name: str,
-                 capacity: int = DEFAULT_HISTOGRAM_CAPACITY,
-                 buckets: Optional[Sequence[float]] = None) -> None:
+                 capacity: int = DEFAULT_HISTOGRAM_CAPACITY) -> None:
         if capacity <= 0:
             raise ValueError("histogram capacity must be positive")
         super().__init__(name)
@@ -111,20 +106,6 @@ class Histogram(Metric):
         self._samples: List[float] = []
         self._cursor = 0            # ring-buffer write position
         self._sorted: List[float] = []   # sorted _samples[:len(_sorted)]
-        if buckets is not None:
-            bounds = [float(b) for b in buckets]
-            if not bounds:
-                raise ValueError("bucket boundary list is empty")
-            if sorted(set(bounds)) != bounds:
-                raise ValueError(
-                    "bucket boundaries must be strictly increasing")
-            self.bucket_bounds: Optional[List[float]] = bounds
-            # One bin per boundary plus the overflow bin above the last.
-            self.bucket_counts: Optional[List[int]] = (
-                [0] * (len(bounds) + 1))
-        else:
-            self.bucket_bounds = None
-            self.bucket_counts = None
 
     def observe(self, value, cycle: Optional[int] = None) -> None:
         self.count += 1
@@ -137,9 +118,6 @@ class Histogram(Metric):
             self._samples[self._cursor] = value
             self._cursor = (self._cursor + 1) % self.capacity
             self._sorted.clear()
-        if self.bucket_bounds is not None:
-            self.bucket_counts[bisect_left(self.bucket_bounds,
-                                           value)] += 1
         self._touch(cycle)
 
     @property
@@ -152,78 +130,18 @@ class Histogram(Metric):
         return self.total / self.count if self.count else 0.0
 
     def percentile(self, p: float) -> float:
-        """The *p*-th percentile of the distribution.
-
-        While the sample ring still holds every observation the answer
-        is exact (sorted-window interpolation).  Once observations have
-        been evicted, a bucketed histogram switches to
-        :meth:`bucket_percentile` — an estimate over the full history —
-        instead of pretending the surviving window is the population.
-        """
+        """The *p*-th percentile of the retained sample window (every
+        observation until the ring first evicts)."""
         samples = self._samples
         if not samples:
             raise ValueError(f"histogram {self.name!r} has no samples")
         if self.count > len(samples):           # the ring has evicted
-            if self.bucket_bounds is not None:
-                return self.bucket_percentile(p)
             return percentile(samples, p)
         view = self._sorted
         if len(view) < len(samples):
             view.extend(samples[len(view):])
             view.sort()
         return percentile_of_sorted(view, p)
-
-    def bucket_percentile(self, p: float) -> float:
-        """Percentile estimated from the cumulative bucket counts.
-
-        Uses the same fractional-rank convention as the sorted-list
-        oracle (rank ``(p/100)·(count-1)``), locating each integer rank
-        in its bucket by cumulative count and interpolating linearly
-        inside the bucket.  Boundary-exact by construction: a bucket's
-        bottom rank maps to its (clamped) lower bound and its top rank
-        to the upper boundary itself — an estimate never bleeds past a
-        boundary into a neighboring bucket, so a rank that the oracle
-        resolves inside bucket *i* always yields a value within bucket
-        *i*'s bounds, and ``p0``/``p100`` return the exact observed
-        ``min``/``max``.  The overall result is clamped to
-        ``[min, max]``.
-        """
-        if self.bucket_bounds is None:
-            raise ValueError(f"histogram {self.name!r} has no buckets")
-        if not self.count:
-            raise ValueError(f"histogram {self.name!r} has no samples")
-        p = min(max(p, 0.0), 100.0)
-        rank = (p / 100.0) * (self.count - 1)
-        lo_rank = int(rank)
-        hi_rank = min(lo_rank + 1, self.count - 1)
-        lo_v = self._value_at_rank(lo_rank)
-        hi_v = self._value_at_rank(hi_rank)
-        value = lo_v + (hi_v - lo_v) * (rank - lo_rank)
-        return min(max(value, self.min), self.max)
-
-    def _value_at_rank(self, rank: int) -> float:
-        """Interpolated value of the *rank*-th (0-based) observation."""
-        bounds = self.bucket_bounds
-        cum = 0
-        for i, n in enumerate(self.bucket_counts):
-            if n and rank <= cum + n - 1:
-                lo = bounds[i - 1] if i > 0 else self.min
-                hi = bounds[i] if i < len(bounds) else self.max
-                lo = max(lo, self.min)
-                hi = min(hi, self.max)
-                if hi <= lo:
-                    return hi
-                if n == 1:
-                    # The bucket's only sample: the global min when
-                    # this is the lowest nonempty bucket (lo is then
-                    # the min itself), else the right-closed bound.
-                    return lo if cum == 0 else hi
-                # Linear inside the bucket: rank cum maps to lo, rank
-                # cum+n-1 to hi — both boundaries belong to this
-                # bucket (right-closed), never to a neighbor.
-                return lo + (hi - lo) * ((rank - cum) / (n - 1))
-            cum += n
-        return self.max
 
     def __snap_fingerprint__(self):
         """Identity without the derived sorted view, so a snapshot's
@@ -240,11 +158,6 @@ class Histogram(Metric):
             out["percentiles"] = {
                 p: round(self.percentile(float(p.lstrip("p"))), 3)
                 for p in ("p50", "p90", "p99")
-            }
-        if self.bucket_bounds is not None:
-            out["buckets"] = {
-                "bounds": list(self.bucket_bounds),
-                "counts": list(self.bucket_counts),
             }
         return out
 
@@ -277,10 +190,8 @@ class MetricsRegistry:
         return self._get(name, Gauge)
 
     def histogram(self, name: str,
-                  capacity: int = DEFAULT_HISTOGRAM_CAPACITY,
-                  buckets: Optional[Sequence[float]] = None) -> Histogram:
-        return self._get(name, Histogram, capacity=capacity,
-                         buckets=buckets)
+                  capacity: int = DEFAULT_HISTOGRAM_CAPACITY) -> Histogram:
+        return self._get(name, Histogram, capacity=capacity)
 
     def get(self, name: str) -> Optional[Metric]:
         return self._metrics.get(name)

@@ -3,9 +3,8 @@
 ``Histogram.percentile`` keeps a sorted copy of its samples and extends
 it with each query's new samples instead of re-sorting everything.  The
 answer must stay exactly what :func:`repro.analysis.stats.percentile`
-gives over the retained samples — or, for a bucketed histogram whose
-ring has evicted, the bucket estimate — under any interleaving of
-observations and queries, and snapshots must not see the view.
+gives over the retained samples under any interleaving of observations
+and queries, and snapshots must not see the view.
 """
 
 from hypothesis import given, settings, strategies as st
@@ -15,8 +14,6 @@ from repro.obs.registry import Histogram
 from repro.snap import capture, live_fingerprint, restore
 from repro.snap.fingerprint import fingerprint
 from repro.snap.world import SimWorld
-
-BOUNDS = [10.0, 50.0, 100.0, 500.0]
 
 values = st.one_of(
     st.integers(min_value=-1000, max_value=10 ** 6),
@@ -31,30 +28,22 @@ scripts = st.lists(
     max_size=80)
 
 
-def expected(hist: Histogram, p: float) -> float:
-    if hist.bucket_bounds is not None and hist.count > len(hist.samples):
-        return hist.bucket_percentile(p)
-    return oracle(hist.samples, p)
-
-
 def drive(hist: Histogram, script) -> None:
     for kind, arg in script:
         if kind == "observe":
             hist.observe(arg)
         elif hist.count:
-            assert hist.percentile(arg) == expected(hist, arg)
+            assert hist.percentile(arg) == oracle(hist.samples, arg)
 
 
-@given(script=scripts, capacity=st.sampled_from([1, 3, 8, 1000]),
-       bucketed=st.booleans())
+@given(script=scripts, capacity=st.sampled_from([1, 3, 8, 1000]))
 @settings(max_examples=200, deadline=None)
-def test_interleavings_match_the_oracle(script, capacity, bucketed):
-    hist = Histogram("lat", capacity=capacity,
-                     buckets=BOUNDS if bucketed else None)
+def test_interleavings_match_the_oracle(script, capacity):
+    hist = Histogram("lat", capacity=capacity)
     drive(hist, script)
     if hist.count:
         for p in (0.0, 50.0, 99.0, 100.0):
-            assert hist.percentile(p) == expected(hist, p)
+            assert hist.percentile(p) == oracle(hist.samples, p)
 
 
 def test_view_is_dropped_once_the_ring_evicts():
@@ -87,7 +76,7 @@ def _observe_all(world, values):
 def test_capture_restore_mid_stream_matches_on_both_lineages():
     # 43 samples before the capture, 49 after: the ring evicts on both
     # lineages after the restore.
-    world = SimWorld(hist=Histogram("lat", capacity=45, buckets=BOUNDS))
+    world = SimWorld(hist=Histogram("lat", capacity=45))
     _observe_all(world, range(0, 300, 7))
     world.hist.percentile(99)            # the view now exists
     snap = capture(world)
