@@ -52,8 +52,10 @@ HDR_BYTES = 64
 MAGIC = 0x58504352  # "XPCR"
 
 #: The six index words (``sq_head`` .. ``next_seq``) sit at header
-#: offset 24; every ring op reads them with one access and writes them
-#: back with at most one.
+#: offset 24; every ring op unpacks them with one access and packs them
+#: back with at most one.  Words an op does not change are packed back
+#: with the values it read, so memory ends up as if each changed word
+#: had been stored on its own.
 _IDX = struct.Struct("<6I")
 _IDX_OFF = 24
 _IDX_NAMES = ("sq_head", "sq_tail", "cq_head", "cq_tail", "arena_cursor",
@@ -115,8 +117,7 @@ def encode_meta(meta: tuple) -> bytes:
     """Deterministically serialize a transport ``meta`` tuple."""
     meta = tuple(meta)
     data = repr(meta).encode("utf-8")
-    if (data not in _META_MEMO
-            and all(type(x) is str or type(x) is int for x in meta)):
+    if data not in _META_MEMO and set(map(type, meta)) <= {str, int}:
         if len(_META_MEMO) >= META_MEMO_MAX:
             _META_MEMO.popitem(last=False)
         _META_MEMO[data] = meta
@@ -130,10 +131,6 @@ def decode_meta(data: bytes) -> tuple:
     return tuple(ast.literal_eval(data.decode("utf-8")))
 
 
-def _align8(n: int) -> int:
-    return (n + 7) & ~7
-
-
 class XPCRing:
     """One submission/completion ring over one relay segment.
 
@@ -142,6 +139,14 @@ class XPCRing:
     handed-over window).  All mutation of ring memory anywhere in the
     tree must go through this API — enforced by the aio row of the
     ``encapsulation`` lint rule.
+
+    The header, the index block and every SQE/CQE are fixed-layout
+    records, read and written in place through
+    :meth:`~repro.hw.memory.PhysicalMemory.unpack_from` and
+    :meth:`~repro.hw.memory.PhysicalMemory.pack_into`: a ring op
+    unpacks the index block into locals, packs its queue record, and
+    packs the block back once.  Meta and payload bytes are the only
+    ``bytes`` it moves.
     """
 
     def __init__(self, mem, pa_base: int, va_base: int, length: int,
@@ -167,7 +172,7 @@ class XPCRing:
             raise ValueError("ring needs at least one entry")
         sqe_off = HDR_BYTES
         cqe_off = sqe_off + entries * SQE_BYTES
-        arena_off = _align8(cqe_off + entries * CQE_BYTES)
+        arena_off = (cqe_off + entries * CQE_BYTES + 7) & ~7
         if arena_off + 64 > seg.length:
             raise ValueError(
                 f"segment of {seg.length} bytes too small for "
@@ -178,9 +183,9 @@ class XPCRing:
         ring._cqe_off = cqe_off
         ring._arena_off = arena_off
         ring._arena_len = seg.length - arena_off
-        mem.write(seg.pa_base, _HDR.pack(
-            MAGIC, entries, sqe_off, cqe_off, arena_off, ring._arena_len,
-            0, 0, 0, 0, arena_off, 0))
+        mem.pack_into(_HDR, seg.pa_base,
+                      MAGIC, entries, sqe_off, cqe_off, arena_off,
+                      ring._arena_len, 0, 0, 0, 0, arena_off, 0)
         core.tick(core.params.aio_index_reload
                   + int(HDR_BYTES * core.params.relay_fill_per_byte))
         return ring
@@ -193,7 +198,7 @@ class XPCRing:
             raise XPCError("cannot attach a ring to an invalid window")
         ring = cls(mem, window.pa_base, window.va_base, window.length,
                    window.segment, name)
-        hdr = _HDR.unpack(mem.read(window.pa_base, _HDR.size))
+        hdr = mem.unpack_from(_HDR, window.pa_base)
         core.tick(core.params.aio_index_reload)
         if hdr[0] != MAGIC:
             raise XPCError(f"{name}: window holds no ring (bad magic)")
@@ -203,14 +208,9 @@ class XPCRing:
         return ring
 
     # -- raw index access (memory-resident) ----------------------------
-    def _indices(self) -> List[int]:
+    def _indices(self) -> tuple:
         """The six index words, read with one access to ring memory."""
-        return list(_IDX.unpack(self._mem.read(self.pa_base + _IDX_OFF,
-                                               _IDX.size)))
-
-    def _publish(self, idx: List[int]) -> None:
-        """Write the six index words back with one access."""
-        self._mem.write(self.pa_base + _IDX_OFF, _IDX.pack(*idx))
+        return self._mem.unpack_from(_IDX, self.pa_base + _IDX_OFF)
 
     @property
     def sq_head(self) -> int:
@@ -256,20 +256,6 @@ class XPCRing:
         has been harvested."""
         return self.entries - self.outstanding
 
-    # -- arena ---------------------------------------------------------
-    def _reserve(self, idx: List[int], nbytes: int) -> int:
-        """Bump the arena cursor in *idx* (not yet published)."""
-        cur = idx[_ARENA_CUR]
-        need = _align8(nbytes)
-        end = self._arena_off + self._arena_len
-        if cur + need > end:
-            raise XPCRingFullError(
-                self.name,
-                f"payload arena exhausted ({need} bytes wanted, "
-                f"{end - cur} free)")
-        idx[_ARENA_CUR] = cur + need
-        return cur
-
     # -- submission side (client owns the segment) ---------------------
     def push_sqe(self, core: Core, meta: tuple, payload: bytes = b"",
                  reply_capacity: int = 0) -> int:
@@ -282,68 +268,77 @@ class XPCRing:
         if probe.INJECT and probe.inject("aio.ring_full") is not None:
             raise XPCRingFullError(
                 self.name, "submission ring full (injected)")
-        idx = self._indices()
-        tail = idx[_SQ_TAIL]
-        if tail - idx[_CQ_HEAD] >= self.entries:
+        mem, pa = self._mem, self.pa_base
+        sq_head, tail, cq_head, cq_tail, cur, seq = mem.unpack_from(
+            _IDX, pa + _IDX_OFF)
+        entries = self.entries
+        if tail - cq_head >= entries:
             raise XPCRingFullError(
-                self.name,
-                f"submission ring full ({self.entries} outstanding)")
+                self.name, f"submission ring full ({entries} outstanding)")
         meta_bytes = encode_meta(meta)
-        slot_len = _align8(max(len(payload), reply_capacity, 1))
-        meta_off = self._reserve(idx, len(meta_bytes))
-        try:
-            data_off = self._reserve(idx, slot_len)
-        except XPCRingFullError:
+        meta_len = len(meta_bytes)
+        data_len = len(payload)
+        # Two arena reservations: the meta, then the data slot (which
+        # also holds the in-place reply), each rounded up to 8 bytes.
+        end = self._arena_off + self._arena_len
+        need = (meta_len + 7) & ~7
+        if cur + need > end:
+            raise XPCRingFullError(
+                self.name, f"payload arena exhausted ({need} bytes "
+                f"wanted, {end - cur} free)")
+        meta_off, data_off = cur, cur + need
+        slot_len = (max(data_len, reply_capacity, 1) + 7) & ~7
+        if data_off + slot_len > end:
             # The meta reservation stands even though the request does
             # not: the arena is a bump allocator, rewound only by reset.
-            self._publish(idx)
-            raise
-        self._mem.write(self.pa_base + meta_off, meta_bytes)
+            mem.pack_into(_IDX, pa + _IDX_OFF, sq_head, tail, cq_head,
+                          cq_tail, data_off, seq)
+            raise XPCRingFullError(
+                self.name, f"payload arena exhausted ({slot_len} bytes "
+                f"wanted, {end - data_off} free)")
+        mem.write(pa + meta_off, meta_bytes)
         if payload:
-            self._mem.write(self.pa_base + data_off, payload)
-        fill = len(meta_bytes) + len(payload)
-        seq = idx[_NEXT_SEQ]
-        self._mem.write(
-            self.pa_base + self._sqe_off + (tail % self.entries) * SQE_BYTES,
-            _SQE.pack(seq, meta_off, len(meta_bytes), data_off,
-                      slot_len, len(payload)))
-        idx[_SQ_TAIL] = tail + 1
-        idx[_NEXT_SEQ] = seq + 1
-        self._publish(idx)
+            mem.write(pa + data_off, payload)
+        mem.pack_into(_SQE, pa + self._sqe_off + (tail % entries) * SQE_BYTES,
+                      seq, meta_off, meta_len, data_off, slot_len, data_len)
+        mem.pack_into(_IDX, pa + _IDX_OFF, sq_head, tail + 1, cq_head,
+                      cq_tail, data_off + slot_len, seq + 1)
         if probe.ACCESS:
             probe.access(core, self, "ring-sq", "aio.ring.push_sqe",
                          "write")
         core.tick(core.params.aio_sqe_op
-                  + int(fill * core.params.relay_fill_per_byte))
+                  + int((meta_len + data_len)
+                        * core.params.relay_fill_per_byte))
         return seq
 
     def pop_cqe(self, core: Core) -> Optional[CQE]:
         """Harvest one completion (client side); None when drained."""
-        idx = self._indices()
-        head = idx[_CQ_HEAD]
-        if head >= idx[_CQ_TAIL]:
+        mem, at = self._mem, self.pa_base + _IDX_OFF
+        sq_head, sq_tail, head, cq_tail, cur, seq = mem.unpack_from(_IDX, at)
+        if head >= cq_tail:
             return None
-        raw = self._mem.read(
-            self.pa_base + self._cqe_off + (head % self.entries) * CQE_BYTES,
-            _CQE.size)
-        idx[_CQ_HEAD] = head + 1
-        self._publish(idx)
+        cqe = CQE(*mem.unpack_from(
+            _CQE, self.pa_base + self._cqe_off
+            + (head % self.entries) * CQE_BYTES))
+        mem.pack_into(_IDX, at, sq_head, sq_tail, head + 1, cq_tail, cur,
+                      seq)
         if probe.ACCESS:
             probe.access(core, self, "ring-cq", "aio.ring.pop_cqe",
                          "write")
         core.tick(core.params.aio_cqe_op)
-        return CQE(*_CQE.unpack(raw))
+        return cqe
 
     def reset(self, core: Core) -> None:
         """Rewind the arena once every completion has been harvested."""
-        idx = self._indices()
-        sq_head, sq_tail, cq_head, cq_tail = idx[:4]
+        mem, at = self._mem, self.pa_base + _IDX_OFF
+        sq_head, sq_tail, cq_head, cq_tail, _cur, seq = mem.unpack_from(
+            _IDX, at)
         if sq_head != sq_tail or cq_head != cq_tail:
             raise XPCError(
                 f"{self.name}: reset with requests in flight "
                 f"(sq {sq_head}/{sq_tail}, cq {cq_head}/{cq_tail})")
-        idx[_ARENA_CUR] = self._arena_off
-        self._publish(idx)
+        mem.pack_into(_IDX, at, sq_head, sq_tail, cq_head, cq_tail,
+                      self._arena_off, seq)
         if probe.ACCESS:
             probe.access(core, self, "ring-sq", "aio.ring.reset",
                          "write")
@@ -364,20 +359,20 @@ class XPCRing:
                 probe.metric("counter",
                              f"aio.stale_head_recovered.{self.name}", 1,
                              core.cycles)
-        idx = self._indices()
-        head = idx[_SQ_HEAD]
-        if head >= idx[_SQ_TAIL]:
+        mem, at = self._mem, self.pa_base + _IDX_OFF
+        head, sq_tail, cq_head, cq_tail, cur, seq = mem.unpack_from(_IDX, at)
+        if head >= sq_tail:
             return None
-        raw = self._mem.read(
-            self.pa_base + self._sqe_off + (head % self.entries) * SQE_BYTES,
-            _SQE.size)
-        idx[_SQ_HEAD] = head + 1
-        self._publish(idx)
+        sqe = SQE(*mem.unpack_from(
+            _SQE, self.pa_base + self._sqe_off
+            + (head % self.entries) * SQE_BYTES))
+        mem.pack_into(_IDX, at, head + 1, sq_tail, cq_head, cq_tail, cur,
+                      seq)
         if probe.ACCESS:
             probe.access(core, self, "ring-sq", "aio.ring.pop_sqe",
                          "write")
         core.tick(core.params.aio_sqe_op)
-        return SQE(*_SQE.unpack(raw))
+        return sqe
 
     def push_cqe(self, core: Core, seq: int, status: int,
                  reply_meta: tuple, rdata_off: int, rdata_len: int) -> None:
@@ -386,21 +381,27 @@ class XPCRing:
         Reply payload bytes are already in place in the request's arena
         slot; only the reply meta is serialized here."""
         rmeta_bytes = encode_meta(reply_meta)
-        idx = self._indices()
-        rmeta_off = self._reserve(idx, len(rmeta_bytes))
-        self._mem.write(self.pa_base + rmeta_off, rmeta_bytes)
-        tail = idx[_CQ_TAIL]
-        self._mem.write(
-            self.pa_base + self._cqe_off + (tail % self.entries) * CQE_BYTES,
-            _CQE.pack(seq, status, rmeta_off, len(rmeta_bytes),
-                      rdata_off, rdata_len))
-        idx[_CQ_TAIL] = tail + 1
-        self._publish(idx)
+        rmeta_len = len(rmeta_bytes)
+        mem, pa = self._mem, self.pa_base
+        sq_head, sq_tail, cq_head, tail, cur, next_seq = mem.unpack_from(
+            _IDX, pa + _IDX_OFF)
+        end = self._arena_off + self._arena_len
+        need = (rmeta_len + 7) & ~7
+        if cur + need > end:
+            raise XPCRingFullError(
+                self.name, f"payload arena exhausted ({need} bytes "
+                f"wanted, {end - cur} free)")
+        mem.write(pa + cur, rmeta_bytes)
+        mem.pack_into(_CQE, pa + self._cqe_off + (tail % self.entries)
+                      * CQE_BYTES,
+                      seq, status, cur, rmeta_len, rdata_off, rdata_len)
+        mem.pack_into(_IDX, pa + _IDX_OFF, sq_head, sq_tail, cq_head,
+                      tail + 1, cur + need, next_seq)
         if probe.ACCESS:
             probe.access(core, self, "ring-cq", "aio.ring.push_cqe",
                          "write")
         core.tick(core.params.aio_cqe_op
-                  + int(len(rmeta_bytes) * core.params.relay_fill_per_byte))
+                  + int(rmeta_len * core.params.relay_fill_per_byte))
 
     # -- record payloads (uncharged reads, like sync reply reads) ------
     def read_meta(self, sqe: SQE) -> tuple:
@@ -433,13 +434,10 @@ class XPCRing:
         """Uncharged view of unharvested completions (for invariant
         checks and crash-recovery harvesting)."""
         idx = self._indices()
-        out = []
-        for i in range(idx[_CQ_HEAD], idx[_CQ_TAIL]):
-            raw = self._mem.read(
-                self.pa_base + self._cqe_off
-                + (i % self.entries) * CQE_BYTES, _CQE.size)
-            out.append(CQE(*_CQE.unpack(raw)))
-        return out
+        base = self.pa_base + self._cqe_off
+        return [CQE(*self._mem.unpack_from(
+                    _CQE, base + (i % self.entries) * CQE_BYTES))
+                for i in range(idx[_CQ_HEAD], idx[_CQ_TAIL])]
 
     def __repr__(self) -> str:
         sq_head, sq_tail, cq_head, cq_tail = self._indices()[:4]

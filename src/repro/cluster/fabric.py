@@ -17,10 +17,16 @@ pools autoscale, and armed fault points may kill a node or cut a link.
 Every per-request metric update is stamped with the cycle the event
 already carries: a dispatch or a fabric-level failure with the request's
 ``arrival``, a completion with its future's ``complete_cycle``.  The
-latency histograms — ``cluster.req_latency_cycles`` and one
-``cluster.<node>.req_latency_cycles`` per node — are registered when the
-cluster is built and when a node joins, and observed through held
-handles; no per-request path derives a cluster or node clock.
+dispatch counters (``cluster.remote``, ``cluster.local``) and the
+latency histogram ``cluster.req_latency_cycles`` are registered when the
+cluster is built; each node's ``cluster.<node>.req_latency_cycles`` and
+``cluster.<node>.active_workers`` when it joins.  The fabric updates
+them through held handles, so no per-request path derives a cluster or
+node clock or formats a metric name.  A request hashes its key once:
+:meth:`Cluster.dispatch` finds the home with ``naming.home`` and gates
+it with ``naming.admit``.  A request that fails because its pool's
+worker died (``XPCPeerDiedError``, including a worker its supervisor
+gave up) counts against the home's breaker, as a partition does.
 
 Determinism: the stream is seeded, nodes are visited in id order, and
 no wall-clock or hash-order state leaks in — two runs with the same
@@ -41,11 +47,12 @@ from repro.cluster.loadgen import LoadGenerator, Request
 from repro.cluster.naming import ShardedNameServer
 from repro.cluster.node import Node, NodeDownError
 from repro.cluster.rpc import ClusterPartitionedError, RpcLink, remote_submit
-from repro.obs.registry import Histogram, MetricsRegistry
+from repro.obs.registry import Gauge, Histogram, MetricsRegistry
 from repro.params import CycleParams, DEFAULT_PARAMS
 from repro.prof.slo import SLOEngine
 from repro.sel4 import Sel4Kernel
 from repro.services.nameserver import ServiceUnavailableError
+from repro.xpc.errors import XPCPeerDiedError
 
 #: request -> (meta, payload, reply_capacity): the default app encoding
 #: (a tiny KV wire format; real apps install their own via serve()).
@@ -101,6 +108,7 @@ class _TraceHash:
 class _Inflight:
     """One dispatched request awaiting harvest."""
 
+    name: str
     req: Request
     node_id: int
     remote: bool
@@ -157,8 +165,12 @@ class Cluster:
         self.registry = MetricsRegistry()
         self._latency = self.registry.histogram(
             "cluster.req_latency_cycles")
-        #: node id -> that node's latency histogram, registered at join.
+        self._remote = self.registry.counter("cluster.remote")
+        self._local = self.registry.counter("cluster.local")
+        #: node id -> that node's latency histogram and active-worker
+        #: gauge, registered at join.
         self._node_latency: Dict[int, Histogram] = {}
+        self._node_workers: Dict[int, Gauge] = {}
         self.naming = ShardedNameServer(vnodes=vnodes)
         self.link = RpcLink(self.params)
         self.nodes: Dict[int, Node] = {}
@@ -185,6 +197,8 @@ class Cluster:
         self.nodes[node.node_id] = node
         self._node_latency[node.node_id] = self.registry.histogram(
             f"cluster.{node.name}.req_latency_cycles")
+        self._node_workers[node.node_id] = self.registry.gauge(
+            f"cluster.{node.name}.active_workers")
         self.naming.node_join(node)
         for spec in self._services.values():
             self._install(node, spec)
@@ -253,7 +267,7 @@ class Cluster:
 
     # -- dispatch ------------------------------------------------------
     def frontend_for(self, client_id: int) -> Node:
-        live = self.live_nodes()
+        live = self.naming.live
         if not live:
             raise NodeDownError(-1)
         return live[client_id % len(live)]
@@ -270,8 +284,9 @@ class Cluster:
                 # Advance the home's idle clock to the arrival stamp
                 # before the breaker gate: cooldowns burn on the shared
                 # open-loop timeline, not only while the node is busy.
-                self.naming.home(req.key).wait_until(req.arrival)
-                home = self.naming.resolve(name, req.key)
+                home = self.naming.home(req.key)
+                home.wait_until(req.arrival)
+                self.naming.admit(name, home)
             except ServiceUnavailableError:
                 self._count_failure("cluster.failed.breaker_open", req)
                 return False
@@ -307,11 +322,11 @@ class Cluster:
             except XPCRingFullError:
                 self._count_failure("cluster.failed.ring_full", req)
                 return False
-            self._inflight.append(_Inflight(req=req, node_id=home.node_id,
-                                            remote=remote, future=future))
-            self.registry.counter(
-                "cluster.remote" if remote else "cluster.local").inc(
-                    cycle=req.arrival)
+            self._inflight.append(_Inflight(
+                name=name, req=req, node_id=home.node_id, remote=remote,
+                future=future))
+            (self._remote if remote else self._local).inc(
+                cycle=req.arrival)
             self.naming.report_success(name, home)
             return True
         return False
@@ -339,13 +354,14 @@ class Cluster:
                 pool.drain()
         harvested = self._harvest(stats)
         for node in self.live_nodes():
+            # Drained pools hold no backlog, so autoscaling moves no
+            # clock: one read stamps the whole node.
+            now = node.now
             for pool in node.live_pools:
                 if pool.slo is not None:
-                    pool.autoscale(node.now)
-            self.registry.gauge(
-                f"cluster.{node.name}.active_workers").set(
-                    sum(p.active_workers for p in node.live_pools),
-                    cycle=node.now)
+                    pool.autoscale(now)
+            self._node_workers[node.node_id].set(
+                sum(p.active_workers for p in node.live_pools), cycle=now)
         return harvested
 
     def _harvest(self, stats: Optional[ClusterRunStats]) -> int:
@@ -361,9 +377,14 @@ class Cluster:
                 _, reply = future.result()
                 reply_bytes = len(reply)
                 ok = True
-            except Exception:
+            except Exception as exc:
                 reply_bytes = 0
                 ok = False
+                if isinstance(exc, XPCPeerDiedError):
+                    # The pool's worker died (or was given up): that is
+                    # the home's health, so it feeds the home's breaker.
+                    self.naming.report_failure(
+                        inflight.name, self.nodes[inflight.node_id])
             latency = future.complete_cycle - inflight.req.arrival
             if inflight.remote:
                 latency += self.link.reply_transit(reply_bytes)

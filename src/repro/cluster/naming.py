@@ -12,7 +12,12 @@ machine.
 Membership changes rebalance the ring: a join moves ~1/N of the key
 space onto the new node, a leave/death moves the dead node's ~1/N onto
 the survivors, and everything else stays put (tested in
-``tests/cluster/test_naming.py``).
+``tests/cluster/test_naming.py``).  They also rebuild :attr:`live`, the
+held list of live nodes the fabric picks frontends from.
+
+A request's home is found once: the fabric calls :meth:`home` (one
+hash of the key) and then :meth:`admit` (the breaker gate) on the node
+it got; :meth:`resolve` is the two in one call.
 """
 
 from __future__ import annotations
@@ -31,6 +36,9 @@ class ShardedNameServer:
         self.nodes: Dict[int, Node] = {}
         #: name -> node ids serving it (sharded names live everywhere).
         self._names: Dict[str, set] = {}
+        #: The ring's members in id order.  Replaced, never mutated, on
+        #: join, leave and death, so a held reference stays consistent.
+        self.live: List[Node] = []
         self.rebalances = 0
 
     # -- membership ----------------------------------------------------
@@ -40,6 +48,7 @@ class ShardedNameServer:
         self.nodes[node.node_id] = node
         self.ring.add(node.node_id)
         self.rebalances += 1
+        self._relist()
 
     def node_leave(self, node_id: int) -> None:
         """Graceful departure: the node's shards re-home to survivors."""
@@ -48,6 +57,7 @@ class ShardedNameServer:
         for serving in self._names.values():
             serving.discard(node_id)
         self.rebalances += 1
+        self._relist()
 
     def node_death(self, node_id: int) -> None:
         """Ungraceful: same ring math, but the node stays known (dead)
@@ -58,11 +68,15 @@ class ShardedNameServer:
         if node_id in self.ring:
             self.ring.remove(node_id)
             self.rebalances += 1
+            self._relist()
         for serving in self._names.values():
             serving.discard(node_id)
 
+    def _relist(self) -> None:
+        self.live = [self.nodes[nid] for nid in self.ring.nodes()]
+
     def live_nodes(self) -> List[Node]:
-        return [self.nodes[nid] for nid in self.ring.nodes()]
+        return list(self.live)
 
     # -- publication ---------------------------------------------------
     def publish(self, name: str, node: Node) -> None:
@@ -90,20 +104,29 @@ class ShardedNameServer:
             raise NodeDownError(node.node_id)
         return node
 
-    def resolve(self, name: str, key) -> Node:
-        """Home node for (name, key), breaker-gated.
+    def admit(self, name: str, node: Node) -> None:
+        """Gate *name* on *node* (a key's :meth:`home`) through the
+        node's breaker.
 
-        Raises ``KeyError`` for an unpublished name,
-        :class:`NodeDownError` for a dead home, and the home node's
-        ``ServiceUnavailableError`` while its breaker is open.
+        Raises ``KeyError`` when no node, or not this one, serves
+        *name*, and the node's ``ServiceUnavailableError`` while its
+        breaker is open.
         """
         serving = self._names.get(name)
         if not serving:
             raise KeyError(f"no node publishes {name!r}")
-        node = self.home(key)
         if node.node_id not in serving:
             raise KeyError(f"{node.name} does not serve {name!r}")
         node.nameserver.resolve(name)   # breaker gate
+
+    def resolve(self, name: str, key) -> Node:
+        """Home node for (name, key), breaker-gated.
+
+        Raises :class:`NodeDownError` for a dead home, then what
+        :meth:`admit` raises.
+        """
+        node = self.home(key)
+        self.admit(name, node)
         return node
 
     # -- health (delegated to the home node's breakers) ----------------

@@ -18,6 +18,12 @@ later checkpoints re-extract only the pages dirtied since, and clean pages
 are shared (same immutable ``bytes`` objects) with the previous checkpoint.
 Deepcopying a dormant memory materializes a fresh live buffer — that is
 what restore does.
+
+Fixed-layout records (ring headers, queue entries) are read and written
+in place with :meth:`PhysicalMemory.unpack_from` and
+:meth:`PhysicalMemory.pack_into`: one ``struct.Struct`` access, no
+intermediate ``bytes``, and the same bounds, dormancy and dirty-frame
+handling as :meth:`~PhysicalMemory.read`/:meth:`~PhysicalMemory.write`.
 """
 
 from __future__ import annotations
@@ -26,6 +32,7 @@ import copy
 import hashlib
 import itertools
 import mmap
+import struct
 from typing import Dict, Iterator, List, Optional, Set
 
 PAGE_SIZE = 4096
@@ -180,8 +187,9 @@ class PhysicalMemory:
         self._snap_dirty: Optional[Set[int]] = None
 
     # -- raw access (no timing; timing is charged by the Core) ----------
-    # read/write test bounds and dormancy inline (one frame per DRAM
-    # access) and call _check only to raise its message.
+    # read/write and the record accessors test bounds and dormancy
+    # inline (one frame per DRAM access) and call _check only to raise
+    # its message.
     def read(self, pa: int, n: int) -> bytes:
         data = self._data
         if data is None or pa < 0 or n < 0 or pa + n > self.size:
@@ -196,6 +204,31 @@ class PhysicalMemory:
         dram[pa:pa + n] = data
         if self._snap_dirty is not None and n:
             self._touch(pa, n)
+
+    def unpack_from(self, st: struct.Struct, pa: int) -> tuple:
+        """The ``st`` record at *pa*, unpacked in place (the values
+        ``st.unpack(self.read(pa, st.size))`` returns)."""
+        data = self._data
+        if data is None or pa < 0 or pa + st.size > self.size:
+            self._check(pa, st.size)
+        return st.unpack_from(data, pa)
+
+    def pack_into(self, st: struct.Struct, pa: int, *values) -> None:
+        """Store *values* as the ``st`` record at *pa*, packed in place
+        (the bytes ``self.write(pa, st.pack(*values))`` stores).
+
+        Out-of-range and dormant accesses raise before any byte moves.
+        A value the record cannot hold raises ``struct.error`` and may
+        leave the record partly written, so the frames are marked dirty
+        first and callers pack values they have already bounded (ring
+        indices and offsets)."""
+        n = st.size
+        dram = self._data
+        if dram is None or pa < 0 or pa + n > self.size:
+            self._check(pa, n)
+        if self._snap_dirty is not None and n:
+            self._touch(pa, n)
+        st.pack_into(dram, pa, *values)
 
     def copy(self, dst_pa: int, src_pa: int, n: int) -> None:
         """Physical memmove (used by kernels and DMA models)."""

@@ -104,7 +104,8 @@ def check_cluster_invariants(cluster) -> List[InvariantViolation]:
 
     * ring-membership: the shard ring contains exactly the live nodes —
       a dead node still owning shards would black-hole its keys, a live
-      node missing from the ring serves nothing;
+      node missing from the ring serves nothing — and the name server's
+      held live-node list (the fabric's frontends) is that membership;
     * resolvable-names: every published name resolves on each live node
       claimed to serve it (directory and node-local nameserver agree);
     * clock-sanity: every node's clock is non-negative, and no node ran
@@ -130,6 +131,12 @@ def check_cluster_invariants(cluster) -> List[InvariantViolation]:
         violations.append(InvariantViolation(
             "cluster-ring-membership",
             f"live node {node_id} is missing from the shard ring"))
+    held = [node.node_id for node in naming.live]
+    if held != naming.ring.nodes():
+        violations.append(InvariantViolation(
+            "cluster-ring-membership",
+            f"the held live-node list {held} is not the ring's "
+            f"membership {naming.ring.nodes()}"))
 
     for name in naming.names():
         for node_id in sorted(naming._names.get(name, ())):

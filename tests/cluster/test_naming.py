@@ -59,6 +59,20 @@ class TestMembership:
         assert 2 not in naming.ring
         assert all(naming.home(key).node_id in (0, 1) for key in KEYS)
 
+    def test_held_live_list_follows_join_leave_and_death(self, world):
+        naming, nodes = world
+        assert naming.live == nodes
+        held = naming.live
+        naming.node_death(1)
+        assert naming.live == [nodes[0], nodes[2]]
+        assert held == nodes        # replaced, not mutated
+        late = make_node(7)
+        naming.node_join(late)
+        naming.node_leave(0)
+        assert naming.live == [nodes[2], late]
+        assert naming.live_nodes() == naming.live
+        assert naming.live_nodes() is not naming.live
+
 
 class TestResolution:
     def test_resolve_unpublished_name(self, world):
@@ -85,6 +99,21 @@ class TestResolution:
             naming.resolve("kv", key)
         naming.node_death(1)        # fabric notices: ring rebalances
         assert naming.resolve("kv", key).node_id in (0, 2)
+
+    def test_admit_gates_the_home_like_resolve(self, world):
+        naming, nodes = world
+        key = KEYS[5]
+        home = naming.home(key)
+        naming.admit("kv", home)
+        with pytest.raises(KeyError):
+            naming.admit("ghost", home)
+        for _ in range(3):          # default threshold
+            naming.report_failure("kv", home)
+        with pytest.raises(ServiceUnavailableError):
+            naming.admit("kv", home)
+        naming.unpublish("kv", home)
+        with pytest.raises(KeyError):
+            naming.admit("kv", home)
 
     def test_breaker_gates_per_node(self, world):
         naming, nodes = world
